@@ -1,0 +1,76 @@
+"""Pinned sha256 digests of the deterministic artifacts of two reference runs.
+
+`test_determinism_golden` only compares two runs of the same code with each
+other; these pins also catch a refactor that changes behaviour.  A change
+that means to alter an artifact re-pins it here and says which bits moved
+and why.
+
+Runs:
+- golden: `data/synthetic_300.det` with `data/synthetic.cfg`;
+- dense: `crowd_stream_lines(1000, lanes=20, seed=12)` with
+  `scene_config(grid=640)`, the first 1,000 frames of the acceptance stream.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.dirname(__file__))
+
+from synthetic import crowd_stream_lines, scene_config  # noqa: E402
+
+from crowdrisk.config import load_config
+from crowdrisk.detections import parse_mot_detections
+from crowdrisk.pipeline import run_pipeline
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+PINS = {
+    "golden": {
+        "tracks.txt": "80663fd8a2cc25f877597de63f39c5cf12cd8d6fa798bfd57aeac9fcb1b5e01d",
+        "stats.csv": "4f3aa7fa5a9beb8469e199f74b74df1a86a62159fecd52ac35932bce2ae66632",
+        "summary.json": "b74958b5f378d04465f44057fc89751b12fc7549d069f49186872999f623731b",
+        "tracking_grid.txt": "960d3340b7120c8eee39dc113588b62ffea5f5fa477bf273b9fd343451436bef",
+        "violation_grid.txt": "68176c74301f0b2ec285855c608ae076e0bc89fb001f8b58713b6fdea7c5cce8",
+        "crowd_grid.txt": "df877b32eadac1710b35c5cff91070bd9fe2eaeeb29a6db7053bbbfce66ffa10",
+        "longterm_crowd.txt": "ac40d55046ae50abea744a11983ac57bd91472169f7d05772f5e6c4051ea7e7d",
+    },
+    "dense": {
+        "tracks.txt": "57ae9b77009768a2742ca582dd71e849aef9ff898eec1af32f729cd050f3e928",
+        "stats.csv": "7754331f034fbc30a1c96a1ba67a50983982ce0b87530b4783f17a91dee72c16",
+        "summary.json": "8b89c2c1733c8334505c176b207031016b0ff47583b401cfc6ffaecca8903229",
+        "tracking_grid.txt": "4f9ed6329956e8264efa2f5856c3e8dbf860c938e6e843ad01ecd4f6247a4adf",
+        "violation_grid.txt": "a181d78d163a7004fc6fe155fb3d17d726748c5460e943e0c6766fb8cf0ce7ac",
+        "crowd_grid.txt": "21f10b1d98cc00a51fd601867dcfe43482f5ea295cc0f5f3816b5ee88592de72",
+        "longterm_crowd.txt": "98952fcaad74cde2131af8764900d6d937d31d64e0d9f2c72363f48d5befee1d",
+    },
+}
+
+
+def _run(name: str, tmp_path) -> str:
+    out = str(tmp_path / "out")
+    if name == "golden":
+        config = load_config(os.path.join(DATA_DIR, "synthetic.cfg"), env={})
+        ingest = parse_mot_detections(os.path.join(DATA_DIR, "synthetic_300.det"))
+    else:
+        cfg_path = tmp_path / "dense.cfg"
+        cfg_path.write_text(scene_config(grid=640))
+        config = load_config(str(cfg_path), env={})
+        ingest = parse_mot_detections(crowd_stream_lines(1000, lanes=20, seed=12))
+    run_pipeline(config, ingest, out_dir=out)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_artifact_digests(name, tmp_path):
+    out = _run(name, tmp_path)
+    digests = {}
+    for artifact in PINS[name]:
+        with open(os.path.join(out, artifact), "rb") as fh:
+            digests[artifact] = hashlib.sha256(fh.read()).hexdigest()
+    moved = sorted(a for a, pin in PINS[name].items() if digests[a] != pin)
+    assert not moved, f"{name} run: digests moved for {moved}"
