@@ -2,13 +2,16 @@
 
 Both parsers produce the same frame-grouped records, so a recorded file
 and a live detector process writing JSON lines are interchangeable.
-Syntactically broken lines raise; records violating box invariants
-(non-positive sides, confidence outside [0, 1]) are dropped and counted.
+Syntactically broken lines raise a DetectionParseError naming the line;
+records violating box invariants (a NaN or infinite center, side or
+confidence; non-positive sides; confidence outside [0, 1]) are dropped and
+counted in `rejected`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -64,6 +67,8 @@ def _group(records: list[DetectionRecord], rejected: int) -> IngestResult:
 
 def _validated(frame: int, cx: float, cy: float, w: float, h: float, conf: float):
     """DetectionRecord, or None for records breaking box invariants."""
+    if not all(map(math.isfinite, (cx, cy, w, h, conf))):
+        return None
     if w <= 0 or h <= 0 or not (0.0 <= conf <= 1.0):
         return None
     return DetectionRecord(frame=frame, bbox=BBox(cx, cy, w, h, conf))
@@ -123,7 +128,7 @@ def parse_jsonl_detections(source: str | IO[str] | Iterable[str]) -> IngestResul
         try:
             frame = int(obj["frame"])
             cx, cy, w, h, conf = (float(obj[k]) for k in _JSONL_KEYS[1:])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DetectionParseError(line_no, "non-numeric value") from None
         if frame < 1:
             raise DetectionParseError(line_no, f"frame index must be >= 1, got {frame}")

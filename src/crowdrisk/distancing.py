@@ -3,13 +3,19 @@
 All distances here are in BEV pixels; the pixel metric xi (px per meter)
 converts the metric policy knobs.  Couple detection is stateful across
 frames (consecutive-proximity counters), everything else is per frame.
+Every distance comes from `ground_distances`; the (n, n) matrix of one
+frame is computed once (`FramePositions.distances`) and shared by the
+violation, couple and zone rules.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import GroundPoint
 
@@ -66,6 +72,25 @@ class FramePositions:
     def points(self) -> dict[int, GroundPoint]:
         return dict(self.entries)
 
+    @functools.cached_property
+    def ids(self) -> list[int]:
+        return [tid for tid, _ in self.entries]
+
+    @functools.cached_property
+    def row(self) -> dict[int, int]:
+        """Entry index of each id: its row in `xy` and `distances`."""
+        return {tid: i for i, tid in enumerate(self.ids)}
+
+    @functools.cached_property
+    def xy(self) -> np.ndarray:
+        """(n, 2) ground coordinates, in entry order."""
+        return np.array([(p.xw, p.yw) for _, p in self.entries], dtype=float).reshape(-1, 2)
+
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """(n, n) ground distances between entries, computed on first use."""
+        return ground_distances(self.xy, self.xy)
+
 
 class ZoneLabel(enum.Enum):
     SAFE = "green"
@@ -73,22 +98,32 @@ class ZoneLabel(enum.Enum):
     POTENTIALLY_RISKY = "yellow"
 
 
+def ground_distances(a, b) -> np.ndarray:
+    """(n, m) L2 distances between (n, 2) and (m, 2) ground-point arrays.
+
+    The one distance definition of this module, so the scalar rule and the
+    per-frame matrices round alike.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+
+
 def violation(p_i: GroundPoint, p_j: GroundPoint, r: float) -> int:
     """1 iff the L2 distance between the two points is <= r, else 0."""
-    return 1 if math.hypot(p_i.xw - p_j.xw, p_i.yw - p_j.yw) <= r else 0
+    return int(ground_distances((p_i.xw, p_i.yw), (p_j.xw, p_j.yw))[0, 0] <= r)
+
+
+def _close_pairs(pos: FramePositions, limit: float) -> set[tuple[int, int]]:
+    """Unordered id pairs (id_a < id_b) at most `limit` apart."""
+    rows, cols = np.nonzero(np.triu(pos.distances <= limit, k=1))
+    ids = pos.ids
+    return {_ordered(ids[a], ids[b]) for a, b in zip(rows.tolist(), cols.tolist())}
 
 
 def pairwise_violations(pos: FramePositions, policy: DistancePolicy) -> set[tuple[int, int]]:
     """All unordered id pairs closer than the safe distance (id_a < id_b)."""
-    entries = pos.entries
-    out: set[tuple[int, int]] = set()
-    for a in range(len(entries)):
-        id_a, p_a = entries[a]
-        for b in range(a + 1, len(entries)):
-            id_b, p_b = entries[b]
-            if violation(p_a, p_b, policy.r):
-                out.add((min(id_a, id_b), max(id_a, id_b)))
-    return out
+    return _close_pairs(pos, policy.r)
 
 
 class CoupleRegistry:
@@ -120,24 +155,11 @@ def _ordered(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _distance_px(p_a: GroundPoint, p_b: GroundPoint) -> float:
-    return math.hypot(p_a.xw - p_b.xw, p_a.yw - p_b.yw)
-
-
 def update_couples(
     registry: CoupleRegistry, pos: FramePositions, policy: DistancePolicy
 ) -> CoupleRegistry:
     """Advance the couple counters with one frame of positions."""
-    near: set[tuple[int, int]] = set()
-    entries = pos.entries
-    d_px = policy.couple_d_px
-    for a in range(len(entries)):
-        id_a, p_a = entries[a]
-        for b in range(a + 1, len(entries)):
-            id_b, p_b = entries[b]
-            if _distance_px(p_a, p_b) <= d_px:
-                near.add(_ordered(id_a, id_b))
-    registry._advance(near)
+    registry._advance(_close_pairs(pos, policy.couple_d_px))
     return registry
 
 
@@ -150,11 +172,11 @@ def exclusive_couples(
     the closest pair wins first, ties broken by lower id sum, then by pair.
     Returns a symmetric partner map.
     """
-    points = pos.points()
+    row = pos.row
     candidates = []
     for id_a, id_b in registry.couples(policy):
-        if id_a in points and id_b in points:
-            d = _distance_px(points[id_a], points[id_b])
+        if id_a in row and id_b in row:
+            d = float(pos.distances[row[id_a], row[id_b]])
             candidates.append((d, id_a + id_b, (id_a, id_b)))
     partner: dict[int, int] = {}
     for _, _, (id_a, id_b) in sorted(candidates):
@@ -197,26 +219,22 @@ def classify_zones(
 
     # Couple-level checks: midpoint circles against outsiders and other couples.
     couple_pairs = sorted({_ordered(a, b) for a, b in partner.items()})
-    mids = {}
-    for id_a, id_b in couple_pairs:
-        p_a, p_b = points[id_a], points[id_b]
-        mid = GroundPoint((p_a.xw + p_b.xw) / 2.0, (p_a.yw + p_b.yw) / 2.0)
-        mids[(id_a, id_b)] = (mid, _distance_px(p_a, p_b))
-    coupled_ids = set(partner)
-    for pair, (mid, d_c) in mids.items():
+    if couple_pairs:
+        ia = [pos.row[a] for a, _ in couple_pairs]
+        ib = [pos.row[b] for _, b in couple_pairs]
+        mids = (pos.xy[ia] + pos.xy[ib]) / 2.0
+        d_c = pos.distances[ia, ib]  # current partner separations
         radius = policy.r + d_c / 2.0
-        for pid, p in points.items():
-            if pid in coupled_ids:
-                continue
-            if _distance_px(mid, p) <= radius:
-                red.add(pid)
-                red.update(pair)
-        for other, (omid, od_c) in mids.items():
-            if other <= pair:
-                continue
-            if _distance_px(mid, omid) <= radius + od_c / 2.0:
-                red.update(pair)
-                red.update(other)
+        outsider = np.array([pid not in partner for pid in pos.ids])
+        near = (ground_distances(mids, pos.xy) <= radius[:, None]) & outsider
+        for k, j in zip(*np.nonzero(near)):
+            red.add(pos.ids[j])
+            red.update(couple_pairs[k])
+        # each pair of couples once, the earlier couple's circle first
+        touching = ground_distances(mids, mids) <= radius[:, None] + d_c / 2.0
+        for k, l in zip(*np.nonzero(np.triu(touching, k=1))):
+            red.update(couple_pairs[k])
+            red.update(couple_pairs[l])
 
     # A red partner drags the other member of the couple along.
     for pid in list(red):

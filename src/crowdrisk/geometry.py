@@ -95,17 +95,27 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def iou_matrix(rows: list[BBox], cols: list[BBox]) -> np.ndarray:
-    """Pairwise IoU of two box lists, bit-identical to the scalar iou()."""
-    A = np.array([b.corners() for b in rows])
-    B = np.array([b.corners() for b in cols])
-    iw = np.minimum(A[:, None, 2], B[None, :, 2]) - np.maximum(A[:, None, 0], B[None, :, 0])
-    ih = np.minimum(A[:, None, 3], B[None, :, 3]) - np.maximum(A[:, None, 1], B[None, :, 1])
-    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    area_a = np.array([b.area() for b in rows])
-    area_b = np.array([b.area() for b in cols])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(inter > 0, inter / union, 0.0)
+def boxes_array(boxes) -> np.ndarray:
+    """(n, 4) center-format (cx, cy, w, h) array from an array or a sequence of BBox."""
+    if isinstance(boxes, np.ndarray):
+        return boxes.reshape(-1, 4)
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def iou_matrix(rows, cols) -> np.ndarray:
+    """Pairwise IoU of two box sets, bit-identical to the scalar iou().
+
+    Each side is an (n, 4) center-format array or a sequence of BBox.
+    """
+    A, B = boxes_array(rows), boxes_array(cols)
+    a_lo, a_hi = A[:, :2] - A[:, 2:] / 2.0, A[:, :2] + A[:, 2:] / 2.0
+    b_lo, b_hi = (B[:, :2] - B[:, 2:] / 2.0).T, (B[:, :2] + B[:, 2:] / 2.0).T
+    iw = np.minimum(a_hi[:, 0, None], b_hi[0]) - np.maximum(a_lo[:, 0, None], b_lo[0])
+    ih = np.minimum(a_hi[:, 1, None], b_hi[1]) - np.maximum(a_lo[:, 1, None], b_lo[1])
+    # disjoint pairs get zero overlap, so their IoU is 0 / union = 0
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = (A[:, 2] * A[:, 3])[:, None] + B[:, 2] * B[:, 3] - inter
+    return inter / union
 
 
 def ciou_loss(pred: BBox, gt: BBox) -> CIoUBreakdown:

@@ -42,9 +42,14 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
         fh.write(rgb.tobytes())
 
 
-def hue_to_rgb(hue_deg: np.ndarray) -> np.ndarray:
-    """Convert a hue raster (degrees, saturation/value at maximum) to uint8 RGB."""
-    h = np.asarray(hue_deg, dtype=float) / 60.0
+# Cells converted per block: 128 rows of a 2048-wide grid.  The float
+# temporaries of one block stay a few MB however large the grid is.
+_BLOCK_CELLS = 128 * 2048
+
+
+def _hue_block_to_rgb(hue_deg: np.ndarray, out: np.ndarray) -> None:
+    """Write the uint8 RGB of a 1-D block of hues (degrees) into out (n, 3)."""
+    h = hue_deg / 60.0
     sector = np.floor(h).astype(int) % 6
     frac = h - np.floor(h)
     p = np.zeros_like(frac)
@@ -52,16 +57,30 @@ def hue_to_rgb(hue_deg: np.ndarray) -> np.ndarray:
     t = frac
     one = np.ones_like(frac)
     # RGB channel values per 60-degree sector of the hue circle.
-    r = np.choose(sector, [one, q, p, p, t, one])
-    g = np.choose(sector, [t, one, one, q, p, p])
-    b = np.choose(sector, [p, p, t, one, one, q])
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.rint(rgb * 255.0).astype(np.uint8)
+    for channel, choices in enumerate(([one, q, p, p, t, one],
+                                       [t, one, one, q, p, p],
+                                       [p, p, t, one, one, q])):
+        out[:, channel] = np.rint(np.choose(sector, choices) * 255.0)
+
+
+def hue_to_rgb(hue_deg: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Convert a hue raster to uint8 RGB at maximum saturation and value.
+
+    Hues are in degrees after multiplying by `scale`.  The raster is
+    converted in blocks into one preallocated (..., 3) array.
+    """
+    hue = np.asarray(hue_deg, dtype=float)
+    flat = hue.reshape(-1)
+    rgb = np.empty((flat.size, 3), dtype=np.uint8)
+    for start in range(0, flat.size, _BLOCK_CELLS):
+        block = flat[start:start + _BLOCK_CELLS]
+        _hue_block_to_rgb(block * scale, rgb[start:start + len(block)])
+    return rgb.reshape(hue.shape + (3,))
 
 
 def write_heatmap_ppm(path: str, hue: np.ndarray) -> None:
     """Write a risk hue raster (halved hue scale: 0 red .. 120 blue) as RGB."""
-    write_ppm(path, hue_to_rgb(np.asarray(hue, dtype=float) * 2.0))
+    write_ppm(path, hue_to_rgb(hue, scale=2.0))
 
 
 def write_value_table(path: str, values: np.ndarray) -> None:

@@ -1,18 +1,24 @@
-"""SORT-style multi-object tracking.
+"""SORT-style multi-object tracking over arrays.
 
 Each person carries a 7-component constant-velocity state
 [u, v, s, r, u', v', s'] — centroid, box area, aspect ratio, and their
-rates (aspect ratio is modelled as constant).  Detections are associated
-to predicted boxes by minimum 1-IoU cost, gated, and tracks move through
-a Tentative -> Confirmed -> Dead lifecycle.
+rates (aspect ratio is modelled as constant).  The tracker holds all live
+tracks as one structure of arrays (`TrackArrays`: means x (n, 7),
+covariances P (n, 7, 7), and id/hits/age/time-since-update/confidence/
+status vectors), so each frame runs one batched Kalman predict over every
+track and one batched update over the matched rows.  `kalman_predict` and
+`kalman_update` accept any leading batch shape, and each row of a batched
+call is bit-identical to the single-state call.  Predicted boxes are
+associated to detections as (n, 4) arrays by minimum 1-IoU cost, gated,
+and tracks move through a Tentative -> Confirmed -> Dead lifecycle; dead
+tracks leave the arrays in the frame they die.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,25 +80,41 @@ def measurement_from_bbox(b: BBox) -> np.ndarray:
     return np.array([b.cx, b.cy, b.w * b.h, b.w / b.h])
 
 
+def measurements_from_boxes(boxes: np.ndarray) -> np.ndarray:
+    """(n, 4) observations from (n, 4) center-format boxes; rows as measurement_from_bbox."""
+    cx, cy, w, h = boxes.T
+    return np.stack([cx, cy, w * h, w / h], axis=1)
+
+
+def boxes_from_states(x: np.ndarray) -> np.ndarray:
+    """(n, 4) center-format boxes (cx, cy, w, h) of non-degenerate (n, 7) states."""
+    s, r = x[:, 2], x[:, 3]
+    return np.stack([x[:, 0], x[:, 1], np.sqrt(s * r), np.sqrt(s / r)], axis=1)
+
+
 @dataclass
 class TrackState:
-    """Filter state: mean x (7,) and covariance P (7, 7)."""
+    """Filter state: mean x (..., 7) and covariance P (..., 7, 7).
+
+    The component properties read the last axis, so they are scalars for
+    one state and vectors for a batch.
+    """
 
     x: np.ndarray
     P: np.ndarray
 
-    u = property(lambda self: float(self.x[0]))
-    v = property(lambda self: float(self.x[1]))
-    s = property(lambda self: float(self.x[2]))
-    r = property(lambda self: float(self.x[3]))
-    du = property(lambda self: float(self.x[4]))
-    dv = property(lambda self: float(self.x[5]))
-    ds = property(lambda self: float(self.x[6]))
+    u = property(lambda self: self.x[..., 0])
+    v = property(lambda self: self.x[..., 1])
+    s = property(lambda self: self.x[..., 2])
+    r = property(lambda self: self.x[..., 3])
+    du = property(lambda self: self.x[..., 4])
+    dv = property(lambda self: self.x[..., 5])
+    ds = property(lambda self: self.x[..., 6])
 
     @property
-    def degenerate(self) -> bool:
+    def degenerate(self):
         """Box area or aspect ratio no longer describes a valid box."""
-        return self.s <= 0.0 or self.r <= 0.0
+        return (self.s <= 0.0) | (self.r <= 0.0)
 
     @classmethod
     def from_bbox(cls, b: BBox, params: KalmanParams = DEFAULT_KALMAN) -> "TrackState":
@@ -100,69 +122,114 @@ class TrackState:
         x[:MEAS_DIM] = measurement_from_bbox(b)
         return cls(x=x, P=params.P0())
 
-    def to_bbox(self, conf: float = 1.0) -> BBox:
-        if self.degenerate:
-            raise ValueError(f"degenerate state (s={self.s}, r={self.r}) has no box")
-        w = math.sqrt(self.s * self.r)
-        h = math.sqrt(self.s / self.r)
-        return BBox(self.u, self.v, w, h, conf)
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return np.swapaxes(a, -1, -2)
 
 
 def kalman_predict(state: TrackState, params: KalmanParams = DEFAULT_KALMAN) -> TrackState:
     """Constant-velocity propagation; covariance grows by the process noise."""
-    x = TRANSITION @ state.x
+    x = (TRANSITION @ state.x[..., None])[..., 0]
     P = TRANSITION @ state.P @ TRANSITION.T + params.Q
-    P = (P + P.T) / 2.0
+    P = (P + _mT(P)) / 2.0
     return TrackState(x=x, P=P)
 
 
 def kalman_update(
-    state: TrackState, meas: BBox, params: KalmanParams = DEFAULT_KALMAN
+    state: TrackState, meas: BBox | np.ndarray, params: KalmanParams = DEFAULT_KALMAN
 ) -> TrackState:
     """Standard Kalman correction against an observed box.
 
-    The gain splits the correction between prediction and observation in
-    proportion to their covariances.  Joseph-form covariance update keeps
-    P symmetric positive semidefinite.
+    `meas` is one box, or an array (..., 4) of (u, v, s, r) observations
+    with the batch shape of `state`.  The gain splits the correction between
+    prediction and observation in proportion to their covariances.
+    Joseph-form covariance update keeps P symmetric positive semidefinite.
     """
     P = state.P
-    innovation = measurement_from_bbox(meas) - state.x[:MEAS_DIM]
+    z = measurement_from_bbox(meas) if isinstance(meas, BBox) else np.asarray(meas, dtype=float)
+    innovation = z - state.x[..., :MEAS_DIM]
     # the observation matrix is a component selector, so H P H^T etc. are slices
-    S = P[:MEAS_DIM, :MEAS_DIM] + params.R
-    if not np.all(np.diagonal(S) > 0.0):
+    S = P[..., :MEAS_DIM, :MEAS_DIM] + params.R
+    if not np.all(np.diagonal(S, axis1=-2, axis2=-1) > 0.0):
         raise NumericalUpdateError(
             "innovation covariance is not positive definite; check noise parameters"
         )
     try:
-        K = np.linalg.solve(S, P[:MEAS_DIM]).T
+        K = _mT(np.linalg.solve(S, P[..., :MEAS_DIM, :]))
     except np.linalg.LinAlgError:
         raise NumericalUpdateError(
             "innovation covariance is not positive definite; check noise parameters"
         ) from None
-    x = state.x + K @ innovation
-    I_KH = _EYE_STATE.copy()
-    I_KH[:, :MEAS_DIM] -= K
-    P_post = I_KH @ P @ I_KH.T + (K * params.meas_noise_diag) @ K.T
-    P_post = (P_post + P_post.T) / 2.0
+    # matmul, not einsum: einsum sums in another order and moves the last bit
+    x = state.x + (K @ innovation[..., None])[..., 0]
+    I_KH = np.broadcast_to(_EYE_STATE, P.shape).copy()
+    I_KH[..., :MEAS_DIM] -= K
+    P_post = I_KH @ P @ _mT(I_KH) + (K * params.meas_noise_diag) @ _mT(K)
+    P_post = (P_post + _mT(P_post)) / 2.0
     return TrackState(x=x, P=P_post)
 
 
 class TrackStatus(enum.Enum):
     TENTATIVE = "tentative"
     CONFIRMED = "confirmed"
-    DEAD = "dead"
+
+
+@dataclass(frozen=True)
+class Track:
+    """Read-only view of one live track (see `Tracker.tracks`)."""
+
+    id: int
+    state: TrackState
+    conf: float
+    hits: int
+    age: int
+    time_since_update: int
+    status: TrackStatus
 
 
 @dataclass
-class Track:
-    id: int
-    state: TrackState
-    conf: float = 1.0
-    hits: int = 1
-    age: int = 0
-    time_since_update: int = 0
-    status: TrackStatus = TrackStatus.TENTATIVE
-    trajectory: list[tuple[int, GroundPoint]] = field(default_factory=list)
+class TrackArrays:
+    """All live tracks as a structure of arrays; row i is one track, in birth order."""
+
+    x: np.ndarray  # (n, 7) state means
+    P: np.ndarray  # (n, 7, 7) state covariances
+    id: np.ndarray  # (n,) track ids, increasing
+    hits: np.ndarray  # (n,) matched detections, the spawning one included
+    age: np.ndarray  # (n,) predictions since spawn
+    time_since_update: np.ndarray  # (n,) frames since the last match
+    conf: np.ndarray  # (n,) confidence of the last matched detection
+    confirmed: np.ndarray  # (n,) status: True once Confirmed, False while Tentative
+
+    @classmethod
+    def spawn(cls, first_id: int, boxes: np.ndarray, conf: np.ndarray,
+              params: KalmanParams) -> "TrackArrays":
+        """Tentative tracks for (m, 4) detection boxes, ids from first_id on."""
+        m = len(boxes)
+        x = np.zeros((m, STATE_DIM))
+        x[:, :MEAS_DIM] = measurements_from_boxes(boxes)
+        return cls(
+            x=x,
+            P=np.broadcast_to(params.P0(), (m, STATE_DIM, STATE_DIM)).copy(),
+            id=np.arange(first_id, first_id + m, dtype=np.int64),
+            hits=np.ones(m, dtype=np.int64),
+            age=np.zeros(m, dtype=np.int64),
+            time_since_update=np.zeros(m, dtype=np.int64),
+            conf=np.asarray(conf, dtype=float),
+            confirmed=np.zeros(m, dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def select(self, rows: np.ndarray) -> "TrackArrays":
+        return TrackArrays(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def concat(self, other: "TrackArrays") -> "TrackArrays":
+        return TrackArrays(
+            *(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
+              for f in fields(self))
+        )
 
 
 @dataclass(frozen=True)
@@ -176,15 +243,16 @@ class TrackSnapshot:
     age: int
 
 
-def associate(tracks: list[BBox], detections: list[BBox], iou_gate: float) -> Assignment:
+def associate(tracks, detections, iou_gate: float) -> Assignment:
     """Match tracks to detections by minimum 1-IoU cost.
 
+    Both sides are (n, 4) center-format box arrays or sequences of BBox.
     Pairs with IoU below the gate are forbidden: the solver may pair them,
     but they are moved back to the unmatched sets afterwards.
     """
     if not (0.0 <= iou_gate <= 1.0):
         raise ValueError(f"iou_gate must be in [0, 1], got {iou_gate}")
-    if not tracks or not detections:
+    if not len(tracks) or not len(detections):
         return Assignment([], list(range(len(tracks))), list(range(len(detections))))
 
     overlap = iou_matrix(tracks, detections)
@@ -228,7 +296,7 @@ class Tracker:
         self.min_hits = min_hits
         self.max_age = max_age
         self.kalman = kalman
-        self._tracks: list[Track] = []
+        self._tracks = TrackArrays.spawn(1, np.zeros((0, 4)), np.zeros(0), kalman)
         self._next_id = 1
         self._last_frame: int | None = None
         self.last_spawned: list[int] = []
@@ -236,7 +304,20 @@ class Tracker:
 
     @property
     def tracks(self) -> list[Track]:
-        return list(self._tracks)
+        """Live tracks in birth order, copied out of the arrays."""
+        t = self._tracks
+        return [
+            Track(
+                id=int(t.id[i]),
+                state=TrackState(x=t.x[i].copy(), P=t.P[i].copy()),
+                conf=float(t.conf[i]),
+                hits=int(t.hits[i]),
+                age=int(t.age[i]),
+                time_since_update=int(t.time_since_update[i]),
+                status=TrackStatus.CONFIRMED if t.confirmed[i] else TrackStatus.TENTATIVE,
+            )
+            for i in range(len(t))
+        ]
 
     @property
     def next_id(self) -> int:
@@ -245,72 +326,66 @@ class Tracker:
     def step(self, detections: list[BBox], frame: int) -> list[TrackSnapshot]:
         """Advance one frame: predict, associate, update, manage lifecycle.
 
-        Returns snapshots of confirmed tracks updated this frame, with the
-        ground-plane trajectory extended when a projection is configured.
+        Returns snapshots of confirmed tracks updated this frame, with their
+        ground-plane position when a projection is configured.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise SequencingError(
                 f"frame {frame} is not after previous frame {self._last_frame}"
             )
         self._last_frame = frame
-        spawned: list[int] = []
         removed: list[int] = []
 
-        survivors = []
-        for t in self._tracks:
-            t.state = kalman_predict(t.state, self.kalman)
+        t = self._tracks
+        if len(t):
+            predicted = kalman_predict(TrackState(t.x, t.P), self.kalman)
+            t.x, t.P = predicted.x, predicted.P
             t.age += 1
-            if t.state.degenerate:
-                t.status = TrackStatus.DEAD
-                removed.append(t.id)
-            else:
-                survivors.append(t)
-        self._tracks = survivors
+            dead = predicted.degenerate
+            if dead.any():
+                removed.extend(t.id[dead].tolist())
+                t = t.select(~dead)
 
-        track_boxes = [t.state.to_bbox(t.conf) for t in self._tracks]
-        assign = associate(track_boxes, detections, self.iou_gate)
+        det = np.array([(b.cx, b.cy, b.w, b.h, b.conf) for b in detections], dtype=float)
+        det = det.reshape(-1, 5)
+        det_boxes, det_conf = det[:, :4], det[:, 4]
+        assign = associate(boxes_from_states(t.x), det_boxes, self.iou_gate)
 
-        for ti, di in assign.matches:
-            t = self._tracks[ti]
-            t.state = kalman_update(t.state, detections[di], self.kalman)
-            t.hits += 1
-            t.time_since_update = 0
-            t.conf = detections[di].conf
-        for ti in assign.unmatched_tracks:
-            self._tracks[ti].time_since_update += 1
-        for di in assign.unmatched_detections:
-            det = detections[di]
-            self._tracks.append(
-                Track(
-                    id=self._next_id,
-                    state=TrackState.from_bbox(det, self.kalman),
-                    conf=det.conf,
-                )
-            )
-            spawned.append(self._next_id)
-            self._next_id += 1
+        if assign.matches:
+            ti, di = np.array(assign.matches).T
+            z = measurements_from_boxes(det_boxes[di])
+            updated = kalman_update(TrackState(t.x[ti], t.P[ti]), z, self.kalman)
+            t.x[ti], t.P[ti] = updated.x, updated.P
+            t.hits[ti] += 1
+            t.time_since_update[ti] = 0
+            t.conf[ti] = det_conf[di]
+        t.time_since_update[assign.unmatched_tracks] += 1
+        new = assign.unmatched_detections
+        if new:
+            t = t.concat(TrackArrays.spawn(self._next_id, det_boxes[new], det_conf[new],
+                                           self.kalman))
+        spawned = list(range(self._next_id, self._next_id + len(new)))
+        self._next_id += len(new)
 
-        keep = []
-        for t in self._tracks:
-            if t.state.degenerate or t.time_since_update > self.max_age:
-                t.status = TrackStatus.DEAD
-                removed.append(t.id)
-                continue
-            if t.status is TrackStatus.TENTATIVE and t.hits >= self.min_hits:
-                t.status = TrackStatus.CONFIRMED
-            keep.append(t)
-        self._tracks = keep
+        dead = TrackState(t.x, t.P).degenerate | (t.time_since_update > self.max_age)
+        if dead.any():
+            removed.extend(t.id[dead].tolist())
+            t = t.select(~dead)
+        t.confirmed |= t.hits >= self.min_hits
+        self._tracks = t
 
+        shown = np.flatnonzero(t.confirmed & (t.time_since_update == 0))
+        boxes = boxes_from_states(t.x[shown]).tolist()
         out = []
-        for t in self._tracks:
-            if t.status is not TrackStatus.CONFIRMED or t.time_since_update != 0:
-                continue
-            box = t.state.to_bbox(t.conf)
+        for (cx, cy, w, h), tid, conf, hits, age in zip(
+            boxes, t.id[shown].tolist(), t.conf[shown].tolist(),
+            t.hits[shown].tolist(), t.age[shown].tolist(),
+        ):
+            box = BBox(cx, cy, w, h, conf)
             ground = None
             if self.projection is not None:
                 ground = project_to_bev(self.projection, foot_point(box))
-                t.trajectory.append((frame, ground))
-            out.append(TrackSnapshot(id=t.id, bbox=box, ground=ground, hits=t.hits, age=t.age))
+            out.append(TrackSnapshot(id=tid, bbox=box, ground=ground, hits=hits, age=age))
 
         self.last_spawned = spawned
         self.last_removed = removed

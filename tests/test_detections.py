@@ -49,6 +49,15 @@ class TestMotParser:
         assert out.accepted == 1
         assert out.rejected == 2
 
+    @pytest.mark.parametrize(
+        "fields",
+        ["0,0,nan,5,0.5", "inf,0,5,5,0.5", "0,-inf,5,5,0.5", "0,0,5,inf,0.5", "0,0,5,5,nan"],
+    )
+    def test_non_finite_fields_rejected_with_count(self, fields):
+        out = parse_mot_detections(["1,-1,0,0,5,5,0.5,-1,-1,-1", f"1,-1,{fields},-1,-1,-1"])
+        assert out.accepted == 1
+        assert out.rejected == 1
+
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(DetectionParseError) as exc:
             parse_mot_detections(["1,-1,0,0,5,5,0.5,-1,-1,-1", "1,-1,zap,0,5,5,0.5,-1,-1,-1"])
@@ -81,6 +90,24 @@ class TestJsonlParser:
         out = parse_jsonl_detections([line])
         assert out.accepted == 0
         assert out.rejected == 1
+
+    @pytest.mark.parametrize("key,value", [("x", "NaN"), ("y", "-Infinity"), ("w", "Infinity"),
+                                           ("h", "NaN"), ("conf", "NaN")])
+    def test_non_finite_values_rejected_with_count(self, key, value):
+        fields = {"frame": 1, "x": 0, "y": 0, "w": 4, "h": 8, "conf": 0.5}
+        good = json.dumps(fields)
+        bad = good.replace(f'"{key}": {fields[key]}', f'"{key}": {value}')
+        assert bad != good
+        out = parse_jsonl_detections([good, bad])
+        assert out.accepted == 1
+        assert out.rejected == 1
+
+    @pytest.mark.parametrize("frame", ["Infinity", "NaN", "1e400"])
+    def test_non_finite_frame_reports_line_number(self, frame):
+        line = f'{{"frame": {frame}, "x": 0, "y": 0, "w": 4, "h": 8, "conf": 0.5}}'
+        with pytest.raises(DetectionParseError) as exc:
+            parse_jsonl_detections(["", line])
+        assert exc.value.line_no == 2
 
     def test_missing_key_raises(self):
         with pytest.raises(DetectionParseError) as exc:

@@ -233,16 +233,26 @@ class TestTrackerLifecycle:
 
         assert run() == run()
 
-    def test_ground_trajectory_extended(self):
+    def test_snapshot_ground_is_projected_foot_point(self):
         tracker = Tracker(projection=np.eye(3), min_hits=1)
-        box = BBox(10, 10, 4, 8)
-        out = tracker.step([box], 1)
-        assert out[0].ground is not None
+        out = tracker.step([BBox(10, 10, 4, 8)], 1)
         # foot point of the posterior box: first update equals the measurement
         assert out[0].ground.xw == pytest.approx(10.0, abs=1e-9)
         assert out[0].ground.yw == pytest.approx(14.0, abs=1e-9)
-        track = tracker.tracks[0]
-        assert [f for f, _ in track.trajectory] == [1]
+
+    def test_tracks_view_reports_lifecycle(self):
+        tracker = Tracker(min_hits=2)
+        box = BBox(50, 50, 10, 20, 0.8)
+        tracker.step([box], 1)
+        (track,) = tracker.tracks
+        assert (track.id, track.hits, track.age, track.status) == (1, 1, 0, TrackStatus.TENTATIVE)
+        tracker.step([box], 2)
+        tracker.step([], 3)
+        (track,) = tracker.tracks
+        assert (track.hits, track.age, track.time_since_update) == (2, 2, 1)
+        assert track.status is TrackStatus.CONFIRMED
+        assert track.conf == 0.8
+        assert track.state.x.shape == (7,)
 
 
 class TestMotLine:
