@@ -23,7 +23,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .assignment import Assignment, solve_assignment
-from .geometry import BBox, GroundPoint, foot_point, iou_matrix, project_to_bev
+from .geometry import (
+    BBox,
+    GroundPoint,
+    boxes_array,
+    foot_point,
+    iou_matrix,
+    project_to_bev,
+)
 
 STATE_DIM = 7
 MEAS_DIM = 4
@@ -75,15 +82,18 @@ class KalmanParams:
 DEFAULT_KALMAN = KalmanParams()
 
 
-def measurement_from_bbox(b: BBox) -> np.ndarray:
-    """(u, v, s, r) observation: centroid, area, aspect ratio."""
-    return np.array([b.cx, b.cy, b.w * b.h, b.w / b.h])
-
-
 def measurements_from_boxes(boxes: np.ndarray) -> np.ndarray:
-    """(n, 4) observations from (n, 4) center-format boxes; rows as measurement_from_bbox."""
+    """(n, 4) (u, v, s, r) observations of (n, 4) center-format boxes.
+
+    u, v: centroid; s: area; r: aspect ratio.
+    """
     cx, cy, w, h = boxes.T
     return np.stack([cx, cy, w * h, w / h], axis=1)
+
+
+def measurement_from_bbox(b: BBox) -> np.ndarray:
+    """(u, v, s, r) observation of one box."""
+    return measurements_from_boxes(boxes_array([b]))[0]
 
 
 def boxes_from_states(x: np.ndarray) -> np.ndarray:
