@@ -1,9 +1,12 @@
 """Batched Kalman filter and IoU against their single-state forms, bit for bit.
 
 The tracker runs one predict over all tracks and one update over the
-matched rows per frame; the pinned artifact digests hold only if every row
-of a batched call equals the single-state call exactly, so these compare
-with `np.array_equal`, not a tolerance.
+matched rows per frame.  Every row of a batched call must equal the
+single-state call and the per-track reference below (the filter as it was
+written for one state at a time) exactly, so these compare with
+`np.array_equal`, not a tolerance.  A last-bit change rarely moves the
+two-decimal track file or the grid cells, so the pinned digests alone
+would not catch one.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 from crowdrisk.geometry import BBox, iou_matrix
 from crowdrisk.tracking import (
     DEFAULT_KALMAN,
+    TRANSITION,
     TrackState,
     kalman_predict,
     kalman_update,
@@ -20,6 +24,25 @@ from crowdrisk.tracking import (
 )
 
 N = 200
+
+
+def reference_predict(x: np.ndarray, P: np.ndarray, params=DEFAULT_KALMAN):
+    """Per-track predict on one (7,) mean and (7, 7) covariance."""
+    x = TRANSITION @ x
+    P = TRANSITION @ P @ TRANSITION.T + params.Q
+    return x, (P + P.T) / 2.0
+
+
+def reference_update(x: np.ndarray, P: np.ndarray, box: BBox, params=DEFAULT_KALMAN):
+    """Per-track Joseph-form update on one state against one box."""
+    innovation = np.array([box.cx, box.cy, box.w * box.h, box.w / box.h]) - x[:4]
+    S = P[:4, :4] + params.R
+    K = np.linalg.solve(S, P[:4]).T
+    x = x + K @ innovation
+    I_KH = np.eye(7)
+    I_KH[:, :4] -= K
+    P = I_KH @ P @ I_KH.T + (K * params.meas_noise_diag) @ K.T
+    return x, (P + P.T) / 2.0
 
 
 def random_states(rng: np.random.Generator, n: int) -> TrackState:
@@ -44,8 +67,9 @@ def test_batched_predict_rows_equal_single_calls():
     out = kalman_predict(batch)
     for i in range(N):
         one = kalman_predict(TrackState(x=batch.x[i], P=batch.P[i]))
-        assert np.array_equal(out.x[i], one.x)
-        assert np.array_equal(out.P[i], one.P)
+        ref_x, ref_P = reference_predict(batch.x[i], batch.P[i])
+        assert np.array_equal(out.x[i], one.x) and np.array_equal(out.x[i], ref_x)
+        assert np.array_equal(out.P[i], one.P) and np.array_equal(out.P[i], ref_P)
 
 
 def test_batched_update_rows_equal_single_calls():
@@ -55,8 +79,9 @@ def test_batched_update_rows_equal_single_calls():
     out = kalman_update(batch, measurements_from_boxes(boxes), DEFAULT_KALMAN)
     for i in range(N):
         one = kalman_update(TrackState(x=batch.x[i], P=batch.P[i]), BBox(*boxes[i]))
-        assert np.array_equal(out.x[i], one.x)
-        assert np.array_equal(out.P[i], one.P)
+        ref_x, ref_P = reference_update(batch.x[i], batch.P[i], BBox(*boxes[i]))
+        assert np.array_equal(out.x[i], one.x) and np.array_equal(out.x[i], ref_x)
+        assert np.array_equal(out.P[i], one.P) and np.array_equal(out.P[i], ref_P)
 
 
 def test_batched_degenerate_flags_rows():
