@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -62,24 +62,21 @@ class RunConfig:
         return self.camera.M
 
 
+def _field_defaults(section: str, cls, **keys: str) -> dict[tuple[str, str], str]:
+    """Defaults of a dataclass's fields as config strings, under key keys[name] or name."""
+    return {
+        (section, keys.get(f.name, f.name)): str(f.default)
+        for f in fields(cls)
+        if f.default is not MISSING
+    }
+
+
 _DEFAULTS = {
     ("intrinsics", "skew"): "0.0",
-    ("policy", "fps"): "25.0",
-    ("policy", "couple_d_m"): "1.0",
-    ("policy", "couple_eps_s"): "5.0",
+    **_field_defaults("policy", DistancePolicy, couple_d="couple_d_m", couple_eps="couple_eps_s"),
     ("policy", "couples_enabled"): "true",
-    ("tracker", "iou_gate"): "0.3",
-    ("tracker", "min_hits"): "3",
-    ("tracker", "max_age"): "30",
-    ("tracker", "conf_threshold"): "0.3",
-    ("risk", "alpha"): "1.0",
-    ("risk", "beta"): "0.1",
-    ("risk", "delta"): "0.5",
-    ("risk", "decay_gamma"): "0.99",
-    ("risk", "long_term_smoothing"): "0.999",
-    ("risk", "cell_scale"): "1.0",
-    ("risk", "grid_width"): "512",
-    ("risk", "grid_height"): "512",
+    **_field_defaults("tracker", TrackerConfig),
+    **_field_defaults("risk", RiskConfig),
     ("risk", "crowd_map_enabled"): "true",
     ("output", "dir"): "out",
 }

@@ -4,8 +4,9 @@ Both parsers produce the same frame-grouped records, so a recorded file
 and a live detector process writing JSON lines are interchangeable.
 Syntactically broken lines raise a DetectionParseError naming the line;
 records violating box invariants (a NaN or infinite center, side or
-confidence; non-positive sides; confidence outside [0, 1]) are dropped and
-counted in `rejected`.
+confidence; non-positive sides; confidence outside [0, 1]; an area w*h,
+aspect w/h or corner cx +- w/2, cy +- h/2 that overflows to infinity) are
+dropped and counted in `rejected`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ def _validated(frame: int, cx: float, cy: float, w: float, h: float, conf: float
     if not all(map(math.isfinite, (cx, cy, w, h, conf))):
         return None
     if w <= 0 or h <= 0 or not (0.0 <= conf <= 1.0):
+        return None
+    # the tracker's (u, v, area, aspect) observation and the corners must be finite too
+    derived = (w * h, w / h, cx - w / 2.0, cx + w / 2.0, cy - h / 2.0, cy + h / 2.0)
+    if not all(map(math.isfinite, derived)):
         return None
     return DetectionRecord(frame=frame, bbox=BBox(cx, cy, w, h, conf))
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import rasters
 from .config import RunConfig
-from .detections import DetectionRecord, IngestResult
+from .detections import IngestResult
 from .distancing import (
     CoupleRegistry,
     FramePositions,
@@ -30,6 +30,7 @@ from .risk import (
     ViolationGrid,
     accumulate_tracking,
     accumulate_violations,
+    advance_empty,
     crowd_step,
     render_heatmap,
 )
@@ -77,14 +78,28 @@ class PipelineSummary:
     dropped_stamps: int
 
 
-def _frame_detections(ingest: IngestResult, conf_threshold: float):
-    """Yield (frame, boxes) for every frame from first to last, empty frames included."""
+def _frame_detections(ingest: IngestResult, conf_threshold: float, tracker: Tracker):
+    """Yield (frame, boxes, k) covering every frame from first to last.
+
+    k is 1, except for a stretch of k > 1 frames without boxes that begins
+    while `tracker` is idle: it comes as one item with no boxes.  The
+    tracker is asked when an item is due, after the caller has stepped it
+    through the items before.
+    """
     if not ingest.frames:
         return
-    by_frame = {f: recs for f, recs in ingest.frames}
-    for frame in range(ingest.first_frame, ingest.last_frame + 1):
-        recs: tuple[DetectionRecord, ...] = by_frame.get(frame, ())
-        yield frame, [r.bbox for r in recs if r.bbox.conf >= conf_threshold]
+    kept = ((f, [r.bbox for r in recs if r.bbox.conf >= conf_threshold])
+            for f, recs in ingest.frames)
+    busy = [(f, boxes) for f, boxes in kept if boxes]
+    frame = ingest.first_frame
+    for next_busy, boxes in busy + [(ingest.last_frame + 1, None)]:
+        while frame < next_busy:
+            k = next_busy - frame if tracker.idle else 1
+            yield frame, [], k
+            frame += k
+        if boxes is not None:
+            yield frame, boxes, 1
+            frame += 1
 
 
 def run_pipeline(
@@ -93,7 +108,13 @@ def run_pipeline(
     out_dir: str | None = None,
     tracks_only: bool = False,
 ) -> PipelineSummary:
-    """Run the full per-frame pipeline and write all artifacts under out_dir."""
+    """Run the full per-frame pipeline and write all artifacts under out_dir.
+
+    Every frame from the first detection to the last gets a stats row.  Once
+    every track has died, the frames up to the next detection are advanced
+    in one step: the tracker would only record them, and the crowd grids
+    take the closed form of `advance_empty`.
+    """
     out = out_dir if out_dir is not None else config.out_dir
     os.makedirs(out, exist_ok=True)
 
@@ -114,7 +135,7 @@ def run_pipeline(
     registry = CoupleRegistry()
 
     track_lines: list[str] = []
-    reports: list[FrameReport] = []
+    reports: list[FrameReport | range] = []
     frames_processed = 0
     below_conf = 0
     person_frames = 0
@@ -125,8 +146,18 @@ def run_pipeline(
     peak_red = 0
 
     total_ingested = ingest.accepted
-    for frame, boxes in _frame_detections(ingest, config.tracker.conf_threshold):
+    for frame, boxes, k in _frame_detections(ingest, config.tracker.conf_threshold, tracker):
         try:
+            if k > 1:
+                # Idle tracker, no boxes: each step would only record its frame,
+                # the couple counters stay empty and every stats row is zero.
+                if not tracks_only:
+                    if config.crowd_map_enabled:
+                        advance_empty(crowd, long_term, k)
+                    reports.append(range(frame, frame + k))
+                frames_processed += k
+                continue
+
             snapshots = tracker.step(boxes, frame)
             for snap in snapshots:
                 track_lines.append(format_mot_line(frame, snap.id, snap.bbox, snap.bbox.conf))
@@ -148,7 +179,7 @@ def run_pipeline(
             accumulate_violations(violation_grid, labels, pos)
             if config.crowd_map_enabled:
                 crowd_step(crowd, pos)
-                long_term.update(crowd.values)
+                long_term.update(crowd.values, crowd.live_runs)
 
             report = FrameReport(
                 frame=frame,
@@ -216,11 +247,15 @@ def run_pipeline(
     return summary
 
 
-def _write_stats(path: str, reports: list[FrameReport]) -> None:
+def _write_stats(path: str, reports: list[FrameReport | range]) -> None:
+    """One row per report; a range stands for frames with nobody in them."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(STATS_HEADER + "\n")
         for report in reports:
-            fh.write(report.row() + "\n")
+            if isinstance(report, range):
+                fh.writelines(f"{frame},0,0,0,0,0,0\n" for frame in report)
+            else:
+                fh.write(report.row() + "\n")
 
 
 def _write_grids(

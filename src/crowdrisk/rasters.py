@@ -24,7 +24,7 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise ValueError(f"raster input must be 2-D, got shape {values.shape}")
     scaled = normalize(values, 0.0, 65535.0)
-    samples = np.rint(scaled).astype(">u2")
+    samples = np.rint(scaled, out=scaled).astype(">u2")
     h, w = samples.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))

@@ -3,12 +3,21 @@
 Every person stamps a small cross-shaped kernel (center 2, edge neighbors
 1, corners 0) at their grid cell.  Three accumulators build on that:
 a monotone tracking grid, a 3-layer violation grid with per-layer
-coefficients, and a decaying crowd grid for ventilated scenes.
+coefficients, and a decaying crowd grid for ventilated scenes with its
+long-term moving average.
+
+The crowd recurrences touch only live rows: rows some crowd stamp has
+reached, the kernel's +-1 rows included.  A row never stamped is 0.0 in the
+crowd grid and in its average, and `0*gamma` and `s*0 + (1-s)*0` are exactly
+0, so skipping it changes no bit.  A stretch of k frames with nobody in it
+can also be advanced in one closed-form step (`advance_empty`), which agrees
+with k single steps to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +26,23 @@ from .distancing import FramePositions, ZoneLabel
 
 # Stamp offsets (drow, dcol, weight): kernel mass is 6 for interior stamps.
 _KERNEL = ((0, 0, 2.0), (-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0))
+
+
+def grid_zeros(height: int, width: int) -> np.ndarray:
+    """A (height, width) float64 grid of zeros that commits memory 4 KiB at a time.
+
+    The grids are written on the rows people stamp, often a few of many.
+    numpy asks the kernel for 2 MiB transparent huge pages on arrays of
+    4 MiB and more, so a written row would commit 2 MiB when a huge page is
+    free and 4 KiB when none is: the resident size of a run would follow
+    the machine's memory state.  A private anonymous mapping that declines
+    huge pages commits the pages written, the same on every run.
+    """
+    if height * width == 0 or not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.zeros((height, width))
+    buf = mmap.mmap(-1, height * width * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(height, width)
 
 
 @dataclass
@@ -39,7 +65,7 @@ class RiskGrid:
         if self.cell_scale <= 0:
             raise ValueError(f"cell_scale must be positive, got {self.cell_scale}")
         if self.values is None:
-            self.values = np.zeros((self.height, self.width))
+            self.values = grid_zeros(self.height, self.width)
 
     def cell_of(self, xw: float, yw: float) -> tuple[int, int] | None:
         """(col, row) for a BEV point, or None when it falls off the grid."""
@@ -135,6 +161,11 @@ class CrowdGrid:
 
     Cells decay by decay_gamma each frame before new stamps land, so a
     steadily occupied cell converges to stamp_weight / (1 - gamma).
+
+    `live_rows` marks every row that holds or has held mass; `live_runs`
+    lists them as contiguous (start, stop) runs, rebuilt when a stamp marks
+    a new row.  Rows outside them are 0.0.  Write to `values` only through
+    `crowd_step` and `advance_empty`, which keep the mask up to date.
     """
 
     width: int
@@ -142,28 +173,77 @@ class CrowdGrid:
     decay_gamma: float = 0.99
     cell_scale: float = 1.0
     grid: RiskGrid = field(default=None)  # type: ignore[assignment]
+    live_rows: np.ndarray = field(init=False, repr=False)
+    live_runs: list[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.decay_gamma <= 1.0):
             raise ValueError(f"decay_gamma must be in (0, 1], got {self.decay_gamma}")
-        if self.grid is None:
+        given = self.grid is not None
+        if not given:
             self.grid = RiskGrid(self.width, self.height, self.cell_scale)
+        self.live_rows = np.zeros(self.grid.height, dtype=bool)
+        self.live_runs = []
+        if given:  # a new grid is all zeros: reading it would only fault its pages in
+            self._mark_rows(np.flatnonzero(self.grid.values.any(axis=1)))
 
     @property
     def values(self) -> np.ndarray:
         return self.grid.values
 
+    def _mark_rows(self, rows: np.ndarray) -> None:
+        if rows.size == 0 or self.live_rows[rows].all():
+            return
+        self.live_rows[rows] = True
+        # edges of the runs: where the mask, padded with False, flips
+        edges = np.flatnonzero(np.diff(self.live_rows, prepend=False, append=False))
+        self.live_runs = [(start, stop) for start, stop in edges.reshape(-1, 2).tolist()]
+
+
+def _stamped_rows(grid: RiskGrid, pos: FramePositions) -> np.ndarray:
+    """Rows the kernels of this frame's in-grid stamps reach, with repeats."""
+    xy = pos.xy
+    # the same float division and floor as RiskGrid.cell_of
+    col = np.floor(xy[:, 0] / grid.cell_scale)
+    row = np.floor(xy[:, 1] / grid.cell_scale)
+    inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
+    rows = (row[inside].astype(np.intp)[:, None] + np.array([-1, 0, 1])).ravel()
+    return rows[(rows >= 0) & (rows < grid.height)]
+
 
 def crowd_step(cg: CrowdGrid, pos: FramePositions) -> CrowdGrid:
-    """Decay every cell, then stamp the currently occupied cells."""
-    cg.grid.values *= cg.decay_gamma
+    """Decay the live rows, then stamp the currently occupied cells."""
+    values = cg.grid.values
+    for start, stop in cg.live_runs:
+        values[start:stop] *= cg.decay_gamma
     _stamp_positions(cg.grid, pos)
+    cg._mark_rows(_stamped_rows(cg.grid, pos))
     return cg
+
+
+def decay_sum(s: float, g: float, k: int) -> float:
+    """The sum over j < k of s**(k-1-j) * g**j, for s, g in [0, 1] and k >= 1.
+
+    Factors out the larger base a and sums the geometric series in q = b/a
+    <= 1 through expm1, with log(q) taken as log1p((b - a)/a): b - a is
+    exact when the bases are close, so the result stays accurate when s is
+    within a few ulps of g, where (q**k - 1)/(q - 1) would lose most digits.
+    """
+    a, b = max(s, g), min(s, g)
+    if b == a:
+        return k * a ** (k - 1)
+    if b == 0.0:
+        return a ** (k - 1)
+    log_q = math.log1p((b - a) / a)
+    return a ** (k - 1) * (math.expm1(k * log_q) / math.expm1(log_q))
 
 
 @dataclass
 class LongTermCrowd:
-    """Exponential moving average over single-frame crowd maps."""
+    """Exponential moving average over single-frame crowd maps.
+
+    L = s*L + (1-s)*C each frame, with s the smoothing.
+    """
 
     width: int
     height: int
@@ -174,14 +254,50 @@ class LongTermCrowd:
         if not (0.0 <= self.smoothing < 1.0):
             raise ValueError(f"smoothing must be in [0, 1), got {self.smoothing}")
         if self.values is None:
-            self.values = np.zeros((self.height, self.width))
-        self._scratch = np.empty_like(self.values)
+            self.values = grid_zeros(self.height, self.width)
+        self._blend = np.empty((0, self.values.shape[1]))
 
-    def update(self, crowd_values: np.ndarray) -> None:
-        # in place: this runs once per frame on the full grid
-        np.multiply(crowd_values, 1.0 - self.smoothing, out=self._scratch)
-        self.values *= self.smoothing
-        self.values += self._scratch
+    def _weighted(self, crowd_rows: np.ndarray, weight: float) -> np.ndarray:
+        """crowd_rows * weight in a buffer kept as long as the longest run so far.
+
+        The buffer is overwritten by the next call.  A fresh product each
+        frame would be memory the allocator hands back and faults in again.
+        """
+        n = len(crowd_rows)
+        if len(self._blend) < n:
+            self._blend = np.empty((n, self.values.shape[1]))
+        return np.multiply(crowd_rows, weight, out=self._blend[:n])
+
+    def update(self, crowd_values: np.ndarray,
+               runs: list[tuple[int, int]] | None = None) -> None:
+        """Fold one crowd map in, on the (start, stop) row runs or the whole grid.
+
+        Rows outside `runs` must be 0.0 here and in crowd_values, where
+        the update would leave them 0.0.
+        """
+        for start, stop in ((0, len(self.values)),) if runs is None else runs:
+            rows = self.values[start:stop]
+            rows *= self.smoothing
+            rows += self._weighted(crowd_values[start:stop], 1.0 - self.smoothing)
+
+
+def advance_empty(cg: CrowdGrid, long_term: LongTermCrowd, k: int) -> None:
+    """Advance both crowd grids over k frames with nobody in them, in one step.
+
+    Equals k rounds of `crowd_step` with no positions and
+    `long_term.update(cg.values, cg.live_runs)` up to rounding:
+    C <- g**k * C and L <- s**k * L + (1-s) * g * decay_sum(s, g, k) * C.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1 frames, got {k}")
+    g, s = cg.decay_gamma, long_term.smoothing
+    crowd_weight = (1.0 - s) * g * decay_sum(s, g, k)
+    for start, stop in cg.live_runs:
+        crowd = cg.values[start:stop]
+        rows = long_term.values[start:stop]
+        rows *= s ** k
+        rows += long_term._weighted(crowd, crowd_weight)
+        crowd *= g ** k
 
 
 def normalize(X: np.ndarray, l: float, u: float) -> np.ndarray:
@@ -194,9 +310,12 @@ def normalize(X: np.ndarray, l: float, u: float) -> np.ndarray:
     if hi == lo:
         return np.full_like(X, float(l))
     # ratio first: exactly 0 at the min and 1 at the max, so the output
-    # range hits [l, u] endpoint-exact
-    ratio = (X - lo) / (hi - lo)
-    return l + (u - l) * ratio
+    # range hits [l, u] endpoint-exact; one output array, updated in place
+    out = np.subtract(X, lo)
+    out /= hi - lo
+    out *= u - l
+    out += l
+    return out
 
 
 def render_heatmap(G: np.ndarray, S_combined: np.ndarray) -> np.ndarray:
@@ -210,4 +329,4 @@ def render_heatmap(G: np.ndarray, S_combined: np.ndarray) -> np.ndarray:
     if G.shape != S_combined.shape:
         raise ValueError(f"grid shapes differ: {G.shape} vs {S_combined.shape}")
     risk = normalize(np.maximum(G, 2.0 * S_combined), 0.0, 120.0)
-    return 120.0 - risk
+    return np.subtract(120.0, risk, out=risk)

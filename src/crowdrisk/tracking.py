@@ -333,6 +333,12 @@ class Tracker:
     def next_id(self) -> int:
         return self._next_id
 
+    @property
+    def idle(self) -> bool:
+        """True while no track is live: a step with no detections then only
+        records the frame number."""
+        return len(self._tracks) == 0
+
     def step(self, detections: list[BBox], frame: int) -> list[TrackSnapshot]:
         """Advance one frame: predict, associate, update, manage lifecycle.
 

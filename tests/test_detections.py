@@ -58,6 +58,17 @@ class TestMotParser:
         assert out.accepted == 1
         assert out.rejected == 1
 
+    @pytest.mark.parametrize("fields", [
+        "0,0,1e200,1e200,0.5",  # area overflows
+        "0,0,1e300,1e-300,0.5",  # aspect overflows
+        "1e308,0,1e308,5,0.5",  # right edge overflows
+        "0,1e308,1,1e308,0.5",  # bottom edge overflows
+    ])
+    def test_overflowing_boxes_rejected_with_count(self, fields):
+        out = parse_mot_detections(["1,-1,0,0,5,5,0.5,-1,-1,-1", f"1,-1,{fields},-1,-1,-1"])
+        assert out.accepted == 1
+        assert out.rejected == 1
+
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(DetectionParseError) as exc:
             parse_mot_detections(["1,-1,0,0,5,5,0.5,-1,-1,-1", "1,-1,zap,0,5,5,0.5,-1,-1,-1"])
@@ -99,6 +110,18 @@ class TestJsonlParser:
         bad = good.replace(f'"{key}": {fields[key]}', f'"{key}": {value}')
         assert bad != good
         out = parse_jsonl_detections([good, bad])
+        assert out.accepted == 1
+        assert out.rejected == 1
+
+    @pytest.mark.parametrize("box", [
+        {"w": 1e200, "h": 1e200},  # area overflows
+        {"w": 1e300, "h": 1e-300},  # aspect overflows
+        {"x": -1.5e308, "w": 1e308},  # left edge overflows
+        {"y": -1.5e308, "h": 1e308},  # top edge overflows
+    ])
+    def test_overflowing_boxes_rejected_with_count(self, box):
+        fields = {"frame": 1, "x": 0, "y": 0, "w": 4, "h": 8, "conf": 0.5}
+        out = parse_jsonl_detections([json.dumps(fields), json.dumps({**fields, **box})])
         assert out.accepted == 1
         assert out.rejected == 1
 

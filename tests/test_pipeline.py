@@ -7,10 +7,15 @@ import os
 
 import pytest
 
+import numpy as np
+
+from crowdrisk import pipeline
 from crowdrisk.config import load_config
 from crowdrisk.detections import parse_jsonl_detections, parse_mot_detections
 from crowdrisk.pipeline import STATS_HEADER, PipelineError, run_pipeline
 from crowdrisk.rasters import read_value_table
+from crowdrisk.risk import LongTermCrowd
+from crowdrisk.tracking import Tracker
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DET = os.path.join(DATA_DIR, "synthetic_300.det")
@@ -169,6 +174,52 @@ class TestGapsAndErrors:
         assert summary.frames_processed == 5  # frames 2-4 run with no detections
         with open(os.path.join(out, "stats.csv")) as fh:
             assert len(fh.readlines()) == 6
+
+    def test_idle_gap_grid_calls_bounded(self, config, monkeypatch, tmp_path):
+        calls = {"crowd_step": 0, "update": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "crowd_step", counted("crowd_step", pipeline.crowd_step))
+        monkeypatch.setattr(LongTermCrowd, "update", counted("update", LongTermCrowd.update))
+        gap = 200_000
+        frames = [1, 2, 3, 4 + gap]
+        lines = [f"{f},-1,{100 + f % 7},100,30,80,0.9,-1,-1,-1" for f in frames]
+        out = str(tmp_path / "out")
+        summary = run_pipeline(config, parse_mot_detections(lines), out_dir=out)
+        assert config.risk.grid_width == config.risk.grid_height == 640
+        bound = len(frames) + config.tracker.max_age + 2
+        assert 0 < calls["crowd_step"] == calls["update"] <= bound
+        assert summary.frames_processed == frames[-1]
+        with open(os.path.join(out, "stats.csv")) as fh:
+            rows = fh.read().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(1, frames[-1] + 1))
+        assert rows[1000] == "1001,0,0,0,0,0,0"
+
+    def test_idle_gaps_match_stepping_every_frame(self, config, monkeypatch, tmp_path):
+        lines = []
+        for start in (1, 120, 400):  # two people, then gaps longer than max_age
+            for f in range(start, start + 12):
+                lines.append(f"{f},-1,{100 + 2 * (f - start)},100,30,80,0.9,-1,-1,-1")
+                lines.append(f"{f},-1,{100 + 2 * (f - start)},108,30,80,0.9,-1,-1,-1")
+        lines.append("300,-1,500,500,30,80,0.1,-1,-1,-1")  # below conf: an empty frame
+        ingest = parse_mot_detections(lines)
+        run_pipeline(config, ingest, out_dir=str(tmp_path / "skip"))
+        monkeypatch.setattr(Tracker, "idle", property(lambda self: False))
+        run_pipeline(config, ingest, out_dir=str(tmp_path / "step"))
+        for name in ("tracks.txt", "stats.csv", "summary.json", "tracking_grid.txt",
+                     "violation_grid.txt", "heatmap.ppm"):
+            assert read_bytes(str(tmp_path / "skip" / name)) == read_bytes(
+                str(tmp_path / "step" / name)), name
+        for name in ("crowd_grid.txt", "longterm_crowd.txt"):
+            skip = read_value_table(str(tmp_path / "skip" / name))
+            step = read_value_table(str(tmp_path / "step" / name))
+            assert skip.max() > 0
+            np.testing.assert_allclose(skip, step, rtol=1e-12, atol=0)
 
     def test_module_error_is_frame_stamped(self, tmp_path):
         # projection with a horizon row: a foot point at y=10 divides by zero

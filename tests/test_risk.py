@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,10 @@ from crowdrisk.risk import (
     ViolationGrid,
     accumulate_tracking,
     accumulate_violations,
+    advance_empty,
     crowd_step,
+    decay_sum,
+    grid_zeros,
     normalize,
     render_heatmap,
     stamp_kernel,
@@ -167,6 +174,126 @@ class TestCrowdGrid:
         assert np.allclose(lt.values, 0.19 * ones)
 
 
+def random_frames(rng, n_frames: int, width: int, height: int, scale: float):
+    """Positions per frame, a third of them empty; some land on border rows or off the grid."""
+    frames = []
+    for k in range(n_frames):
+        n = 0 if rng.random() < 1 / 3 else int(rng.integers(1, 5))
+        rows = rng.choice([0, height - 1, -1, height, *rng.integers(0, height, 4)], size=n)
+        xs = rng.uniform(-scale, (width + 1) * scale, size=n)
+        ys = (rows + rng.uniform(0, 1, size=n)) * scale
+        frames.append(positions(list(zip(xs, ys)), frame=k + 1))
+    return frames
+
+
+def stamped_pair(gamma: float, smoothing: float, seed: int = 3):
+    """A crowd grid and its long-term average after a few frames of stamps."""
+    cg = CrowdGrid(24, 32, decay_gamma=gamma)
+    lt = LongTermCrowd(24, 32, smoothing=smoothing)
+    for pos in random_frames(np.random.default_rng(seed), 12, 24, 32, 1.0):
+        crowd_step(cg, pos)
+        lt.update(cg.values, cg.live_runs)
+    return cg, lt
+
+
+class TestLiveRows:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_full_grid_recurrence(self, seed):
+        rng = np.random.default_rng(seed)
+        width, height, scale, gamma, s = 20, 30, 1.5, 0.97, 0.9
+        cg = CrowdGrid(width, height, decay_gamma=gamma, cell_scale=scale)
+        lt = LongTermCrowd(width, height, smoothing=s)
+        ref = RiskGrid(width, height, scale)
+        ref_long = np.zeros((height, width))
+        for pos in random_frames(rng, 150, width, height, scale):
+            crowd_step(cg, pos)
+            lt.update(cg.values, cg.live_runs)
+            ref.values *= gamma
+            accumulate_tracking(ref, pos)
+            ref_long *= s
+            ref_long += ref.values * (1.0 - s)
+            assert np.array_equal(cg.values, ref.values)
+            assert np.array_equal(lt.values, ref_long)
+        assert cg.grid.dropped == ref.dropped > 0
+        assert cg.live_rows[0] and cg.live_rows[-1]
+        assert not cg.values[~cg.live_rows].any()
+
+    def test_runs_follow_the_mask(self):
+        cg = CrowdGrid(8, 16)
+        crowd_step(cg, positions([(3, 0.5), (3, 6.5), (3, 8.5), (3, 15.5)]))
+        assert cg.live_runs == [(0, 2), (5, 10), (14, 16)]
+        assert np.array_equal(np.flatnonzero(cg.live_rows), [0, 1, 5, 6, 7, 8, 9, 14, 15])
+
+    def test_prefilled_grid_rows_are_live(self):
+        grid = RiskGrid(4, 6)
+        grid.values[2, 1] = 5.0
+        cg = CrowdGrid(4, 6, decay_gamma=0.5, grid=grid)
+        assert cg.live_runs == [(2, 3)]
+        crowd_step(cg, positions([]))
+        assert cg.values[2, 1] == 2.5
+
+
+    def test_update_allocates_no_grid_sized_temporaries(self):
+        cg, lt = CrowdGrid(240, 240), LongTermCrowd(240, 240)
+        pos = positions([(x, y) for x in range(5, 240, 40) for y in range(5, 240, 3)])
+        crowd_step(cg, pos)
+        lt.update(cg.values, cg.live_runs)
+        assert cg.live_runs == [(4, 240)]
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                crowd_step(cg, pos)
+                lt.update(cg.values, cg.live_runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cg.values.nbytes // 4
+
+
+def test_grid_zeros_is_a_fresh_writable_zero_grid():
+    a, b = grid_zeros(3, 5), grid_zeros(3, 5)
+    assert a.shape == (3, 5) and a.dtype == np.float64 and not a.any()
+    a[1, 2] = 4.0
+    assert a.sum() == 4.0 and not b.any()
+    assert grid_zeros(0, 5).shape == (0, 5)
+
+
+class TestAdvanceEmpty:
+    @pytest.mark.parametrize("gamma,smoothing", [
+        (0.99, 0.999),
+        (0.999, 0.999),  # s == g
+        (0.99, 0.99 * (1 + 1e-9)),  # s within a hair of g
+        (1.0, 0.999),  # no decay
+        (0.99, 0.0),  # no smoothing
+        (0.999, 0.9),  # g > s
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 37, 3000])
+    def test_matches_per_frame_recurrence(self, gamma, smoothing, k):
+        cg, lt = stamped_pair(gamma, smoothing)
+        ref_cg, ref_lt = copy.deepcopy(cg), copy.deepcopy(lt)
+        for j in range(k):
+            crowd_step(ref_cg, positions([], frame=100 + j))
+            ref_lt.update(ref_cg.values, ref_cg.live_runs)
+        advance_empty(cg, lt, k)
+        for ref in (ref_cg.values, ref_lt.values):  # a tolerance on subnormals would be loose
+            assert ref[ref > 0].min() > np.finfo(float).tiny
+        np.testing.assert_allclose(cg.values, ref_cg.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(lt.values, ref_lt.values, rtol=1e-12, atol=0)
+        assert np.array_equal(cg.values == 0, ref_cg.values == 0)
+
+    @pytest.mark.parametrize("s,g", [(0.999, 0.99), (0.99, 0.999), (0.7, 0.7),
+                                     (0.0, 0.99), (0.99, 1.0), (0.99 * (1 + 1e-9), 0.99)])
+    @pytest.mark.parametrize("k", [1, 2, 60])
+    def test_decay_sum_exact(self, s, g, k):
+        exact = sum(Fraction(s) ** (k - 1 - j) * Fraction(g) ** j for j in range(k))
+        assert decay_sum(s, g, k) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_rejects_empty_stretch(self):
+        cg, lt = stamped_pair(0.99, 0.999)
+        with pytest.raises(ValueError):
+            advance_empty(cg, lt, 0)
+
+
 class TestNormalize:
     def test_linear_map(self):
         out = normalize(np.array([0.0, 5.0, 10.0]), 0, 120)
@@ -186,7 +313,11 @@ class TestNormalize:
             X = rng.normal(size=(rng.integers(2, 12), rng.integers(2, 12))) * 50
             if X.max() == X.min():
                 continue
+            before = X.copy()
             out = normalize(X, 10.0, 20.0)
+            assert np.array_equal(X, before)
+            # bit for bit the same as the textbook expression
+            assert np.array_equal(out, 10.0 + 10.0 * ((X - X.min()) / (X.max() - X.min())))
             assert out.min() == 10.0
             assert out.max() == 20.0
             flat_x, flat_o = X.ravel(), out.ravel()

@@ -169,11 +169,13 @@ class TestTrackerLifecycle:
         for _ in range(5):  # exactly max_age missed frames
             tracker.step([], frame)
             frame += 1
+        assert not tracker.idle
         out = tracker.step([box], frame)
         assert [t.id for t in out] == [1]
 
     def test_gap_of_max_age_plus_one_reassigns(self):
         tracker = Tracker(min_hits=1, max_age=5)
+        assert tracker.idle
         box = BBox(50, 50, 10, 20)
         for frame in range(1, 4):
             tracker.step([box], frame)
@@ -181,6 +183,7 @@ class TestTrackerLifecycle:
         for _ in range(6):  # max_age + 1 missed frames
             tracker.step([], frame)
             frame += 1
+        assert tracker.idle
         out = tracker.step([box], frame)
         assert [t.id for t in out] == [2]
 
