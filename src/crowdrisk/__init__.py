@@ -9,7 +9,6 @@ from .assignment import Assignment, solve_assignment
 from .config import ConfigError, RunConfig, load_config
 from .detections import (
     DetectionParseError,
-    DetectionRecord,
     IngestResult,
     parse_detections,
     parse_jsonl_detections,
@@ -52,10 +51,10 @@ from .risk import (
     stamp_kernel,
 )
 from .tracking import (
+    FrameTracks,
     KalmanParams,
     Track,
     Tracker,
-    TrackSnapshot,
     TrackState,
     TrackStatus,
     associate,

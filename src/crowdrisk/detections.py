@@ -1,7 +1,8 @@
 """Detection ingest: MOTChallenge det files and line-delimited JSON.
 
-Both parsers produce the same frame-grouped records, so a recorded file
-and a live detector process writing JSON lines are interchangeable.
+Both parsers produce the same frame-grouped arrays, so a recorded file and
+a live detector process writing JSON lines are interchangeable.  Each frame
+holds an (m, 5) float array of (cx, cy, w, h, conf) rows in file order.
 Syntactically broken lines raise a DetectionParseError naming the line;
 records violating box invariants (a NaN or infinite center, side or
 confidence; non-positive sides; confidence outside [0, 1]; an area w*h,
@@ -11,12 +12,13 @@ dropped and counted in `rejected`.
 
 from __future__ import annotations
 
+import array
 import json
-import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
-from .geometry import BBox
+import numpy as np
 
 
 class DetectionParseError(ValueError):
@@ -28,16 +30,14 @@ class DetectionParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class DetectionRecord:
-    frame: int
-    bbox: BBox
-
-
-@dataclass(frozen=True)
 class IngestResult:
-    """Frame-grouped detections plus ingest accounting."""
+    """Frame-grouped detections plus ingest accounting.
 
-    frames: tuple[tuple[int, tuple[DetectionRecord, ...]], ...]
+    `frames` holds (frame, rows) pairs in increasing frame order; rows is an
+    (m, 5) array of (cx, cy, w, h, conf) in file order.
+    """
+
+    frames: tuple[tuple[int, np.ndarray], ...]
     accepted: int
     rejected: int
 
@@ -58,25 +58,23 @@ def _lines(source: str | IO[str] | Iterable[str]) -> Iterator[str]:
         yield from source
 
 
-def _group(records: list[DetectionRecord], rejected: int) -> IngestResult:
-    by_frame: dict[int, list[DetectionRecord]] = {}
-    for rec in records:  # stable: insertion order preserved within a frame
-        by_frame.setdefault(rec.frame, []).append(rec)
-    frames = tuple((f, tuple(by_frame[f])) for f in sorted(by_frame))
-    return IngestResult(frames=frames, accepted=len(records), rejected=rejected)
+def _group(frames: list[int], rows: np.ndarray) -> IngestResult:
+    """Group the (cx, cy, w, h, conf) rows that keep the box invariants by frame.
 
-
-def _validated(frame: int, cx: float, cy: float, w: float, h: float, conf: float):
-    """DetectionRecord, or None for records breaking box invariants."""
-    if not all(map(math.isfinite, (cx, cy, w, h, conf))):
-        return None
-    if w <= 0 or h <= 0 or not (0.0 <= conf <= 1.0):
-        return None
+    Row i is from frame frames[i].
+    """
+    cx, cy, w, h, conf = rows.T
+    ok = np.isfinite(rows).all(axis=1) & (w > 0) & (h > 0) & (conf >= 0.0) & (conf <= 1.0)
     # the tracker's (u, v, area, aspect) observation and the corners must be finite too
-    derived = (w * h, w / h, cx - w / 2.0, cx + w / 2.0, cy - h / 2.0, cy + h / 2.0)
-    if not all(map(math.isfinite, derived)):
-        return None
-    return DetectionRecord(frame=frame, bbox=BBox(cx, cy, w, h, conf))
+    with np.errstate(all="ignore"):
+        for derived in (w * h, w / h, cx - w / 2.0, cx + w / 2.0, cy - h / 2.0, cy + h / 2.0):
+            ok &= np.isfinite(derived)
+    keep = np.flatnonzero(ok).tolist()
+    by_frame: dict[int, list[int]] = {}
+    for i in keep:  # file order within a frame
+        by_frame.setdefault(frames[i], []).append(i)
+    grouped = tuple((f, rows[by_frame[f]]) for f in sorted(by_frame))
+    return IngestResult(frames=grouped, accepted=len(keep), rejected=len(rows) - len(keep))
 
 
 def parse_mot_detections(source: str | IO[str] | Iterable[str]) -> IngestResult:
@@ -86,8 +84,8 @@ def parse_mot_detections(source: str | IO[str] | Iterable[str]) -> IngestResult:
     convert from left/top to center format.  Out-of-order frame blocks are
     re-sorted, preserving the in-file order within each frame.
     """
-    records: list[DetectionRecord] = []
-    rejected = 0
+    frames: list[int] = []
+    values = array.array("d")
     for line_no, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line:
@@ -97,26 +95,26 @@ def parse_mot_detections(source: str | IO[str] | Iterable[str]) -> IngestResult:
             raise DetectionParseError(line_no, f"expected >= 7 comma fields, got {len(fields)}")
         try:
             frame = int(fields[0])
-            left, top, w, h, conf = (float(x) for x in fields[2:7])
+            values.extend(map(float, fields[2:7]))
         except ValueError:
             raise DetectionParseError(line_no, f"non-numeric field in {line!r}") from None
         if frame < 1:
             raise DetectionParseError(line_no, f"frame index must be >= 1, got {frame}")
-        rec = _validated(frame, left + w / 2.0, top + h / 2.0, w, h, conf)
-        if rec is None:
-            rejected += 1
-        else:
-            records.append(rec)
-    return _group(records, rejected)
+        frames.append(frame)
+    rows = np.frombuffer(values, dtype=float).reshape(-1, 5)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows[:, :2] += rows[:, 2:4] / 2.0  # left, top -> cx, cy
+    return _group(frames, rows)
 
 
 _JSONL_KEYS = ("frame", "x", "y", "w", "h", "conf")
+_jsonl_fields = itemgetter(*_JSONL_KEYS)
 
 
 def parse_jsonl_detections(source: str | IO[str] | Iterable[str]) -> IngestResult:
     """Parse one JSON object per line: {frame, x, y, w, h, conf}, (x, y) the box center."""
-    records: list[DetectionRecord] = []
-    rejected = 0
+    frames: list[int] = []
+    values = array.array("d")
     for line_no, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line:
@@ -127,22 +125,20 @@ def parse_jsonl_detections(source: str | IO[str] | Iterable[str]) -> IngestResul
             raise DetectionParseError(line_no, f"invalid JSON: {exc.msg}") from None
         if not isinstance(obj, dict):
             raise DetectionParseError(line_no, "record must be a JSON object")
-        missing = [k for k in _JSONL_KEYS if k not in obj]
-        if missing:
-            raise DetectionParseError(line_no, f"missing keys {missing}")
         try:
-            frame = int(obj["frame"])
-            cx, cy, w, h, conf = (float(obj[k]) for k in _JSONL_KEYS[1:])
+            frame, *box = _jsonl_fields(obj)
+        except KeyError:
+            missing = [k for k in _JSONL_KEYS if k not in obj]
+            raise DetectionParseError(line_no, f"missing keys {missing}") from None
+        try:
+            frame = int(frame)
+            values.extend(map(float, box))
         except (TypeError, ValueError, OverflowError):
             raise DetectionParseError(line_no, "non-numeric value") from None
         if frame < 1:
             raise DetectionParseError(line_no, f"frame index must be >= 1, got {frame}")
-        rec = _validated(frame, cx, cy, w, h, conf)
-        if rec is None:
-            rejected += 1
-        else:
-            records.append(rec)
-    return _group(records, rejected)
+        frames.append(frame)
+    return _group(frames, np.frombuffer(values, dtype=float).reshape(-1, 5))
 
 
 def parse_detections(source: str | IO[str] | Iterable[str], fmt: str = "mot") -> IngestResult:

@@ -3,9 +3,11 @@
 All distances here are in BEV pixels; the pixel metric xi (px per meter)
 converts the metric policy knobs.  Couple detection is stateful across
 frames (consecutive-proximity counters), everything else is per frame.
-Every distance comes from `ground_distances`; the (n, n) matrix of one
-frame is computed once (`FramePositions.distances`) and shared by the
-violation, couple and zone rules.
+A frame's positions are its track ids plus one (n, 2) array of ground
+coordinates (`FramePositions`).  Every distance comes from
+`ground_distances`; the (n, n) matrix of one frame is computed once
+(`FramePositions.distances`) and shared by the violation, couple and zone
+rules.
 """
 
 from __future__ import annotations
@@ -53,42 +55,53 @@ class DistancePolicy:
         return self.couple_eps * self.fps
 
 
-@dataclass(frozen=True)
+class _Entries:
+    """(id, GroundPoint) pairs of a frame; the points are built only when iterated."""
+
+    def __init__(self, pos: "FramePositions"):
+        self.ids, self.xy = pos.ids, pos.xy
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return ((tid, GroundPoint(*p)) for tid, p in zip(self.ids, self.xy.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class FramePositions:
-    """Ground-plane positions of the tracked people in one frame."""
+    """Ground-plane positions in one frame: track ids and their (n, 2) array xy."""
 
     frame: int
-    entries: tuple[tuple[int, GroundPoint], ...]
+    ids: list[int]
+    xy: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = [tid for tid, _ in self.entries]
-        if len(ids) != len(set(ids)):
+        if len(self.xy) != len(self.ids):
+            raise ValueError(f"{len(self.ids)} ids but {len(self.xy)} points in frame {self.frame}")
+        if len(self.row) != len(self.ids):
             raise ValueError(f"duplicate track ids in frame {self.frame}")
 
     @classmethod
     def from_pairs(cls, frame: int, pairs) -> "FramePositions":
-        return cls(frame=frame, entries=tuple(pairs))
+        """Positions from (id, GroundPoint) pairs."""
+        pairs = list(pairs)
+        xy = np.array([(p.xw, p.yw) for _, p in pairs], dtype=float).reshape(-1, 2)
+        return cls(frame, [tid for tid, _ in pairs], xy)
 
-    def points(self) -> dict[int, GroundPoint]:
-        return dict(self.entries)
-
-    @functools.cached_property
-    def ids(self) -> list[int]:
-        return [tid for tid, _ in self.entries]
+    @property
+    def entries(self) -> _Entries:
+        """(id, GroundPoint) pairs in row order; taking the length builds none."""
+        return _Entries(self)
 
     @functools.cached_property
     def row(self) -> dict[int, int]:
-        """Entry index of each id: its row in `xy` and `distances`."""
+        """Row of each id in `xy` and `distances`."""
         return {tid: i for i, tid in enumerate(self.ids)}
 
     @functools.cached_property
-    def xy(self) -> np.ndarray:
-        """(n, 2) ground coordinates, in entry order."""
-        return np.array([(p.xw, p.yw) for _, p in self.entries], dtype=float).reshape(-1, 2)
-
-    @functools.cached_property
     def distances(self) -> np.ndarray:
-        """(n, n) ground distances between entries, computed on first use."""
+        """(n, n) ground distances between rows, computed on first use."""
         return ground_distances(self.xy, self.xy)
 
 
@@ -201,9 +214,9 @@ def classify_zones(
     r + d_c/2 BEV px (safe distance preserved for each member), where d_c
     is the current partner separation.
     """
-    points = pos.points()
+    row = pos.row
     for id_a, id_b in violations:
-        if id_a not in points or id_b not in points:
+        if id_a not in row or id_b not in row:
             raise ValueError(
                 f"violation pair ({id_a}, {id_b}) references ids absent from frame {pos.frame}"
             )
@@ -220,8 +233,8 @@ def classify_zones(
     # Couple-level checks: midpoint circles against outsiders and other couples.
     couple_pairs = sorted({_ordered(a, b) for a, b in partner.items()})
     if couple_pairs:
-        ia = [pos.row[a] for a, _ in couple_pairs]
-        ib = [pos.row[b] for _, b in couple_pairs]
+        ia = [row[a] for a, _ in couple_pairs]
+        ib = [row[b] for _, b in couple_pairs]
         mids = (pos.xy[ia] + pos.xy[ib]) / 2.0
         d_c = pos.distances[ia, ib]  # current partner separations
         radius = policy.r + d_c / 2.0
@@ -243,7 +256,7 @@ def classify_zones(
             red.add(mate)
 
     labels: dict[int, ZoneLabel] = {}
-    for pid in points:
+    for pid in pos.ids:
         if pid in red:
             labels[pid] = ZoneLabel.HIGH_RISK
         elif pid in partner:

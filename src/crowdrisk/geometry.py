@@ -143,9 +143,10 @@ def ciou_loss(pred: BBox, gt: BBox) -> CIoUBreakdown:
     return CIoUBreakdown(iou=i, rho2=rho2, c2=c2, v=v, alpha=alpha, loss=loss)
 
 
-def foot_point(b: BBox) -> tuple[float, float]:
-    """Midpoint of the bottom edge: the person's ground contact in the image."""
-    return (b.cx, b.cy + b.h / 2.0)
+def foot_point(boxes) -> np.ndarray:
+    """(n, 2) bottom-edge midpoints, the ground contacts, of boxes_array(boxes)."""
+    B = boxes_array(boxes)
+    return np.stack([B[:, 0], B[:, 1] + B[:, 3] / 2.0], axis=1)
 
 
 @dataclass
@@ -242,26 +243,24 @@ def build_projection(cam: CameraModel) -> np.ndarray:
     return M
 
 
-def project_to_bev(M: np.ndarray, p: tuple[float, float]) -> GroundPoint:
-    """Map a pixel point through M to the ground plane (scalar projective form)."""
-    x, y = float(p[0]), float(p[1])
+def project_to_bev(M: np.ndarray, pts) -> np.ndarray:
+    """Map (n, 2) pixel points through M to (n, 2) ground-plane points.
+
+    Raises HorizonPointError for a pixel that maps to infinity, and
+    ValueError when a ground point overflows.
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
     den = M[2, 0] * x + M[2, 1] * y + M[2, 2]
-    if abs(den) < SINGULARITY_TOL:
-        raise HorizonPointError(f"pixel ({x}, {y}) maps to infinity")
-    xw = (M[0, 0] * x + M[0, 1] * y + M[0, 2]) / den
-    yw = (M[1, 0] * x + M[1, 1] * y + M[1, 2]) / den
-    return GroundPoint(xw, yw)
-
-
-def project_points(M: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized projection of an (n, 2) pixel array; same math as project_to_bev."""
-    pts = np.asarray(pts, dtype=float)
-    den = M[2, 0] * pts[:, 0] + M[2, 1] * pts[:, 1] + M[2, 2]
-    if np.any(np.abs(den) < SINGULARITY_TOL):
-        raise HorizonPointError("a pixel maps to infinity")
-    xw = (M[0, 0] * pts[:, 0] + M[0, 1] * pts[:, 1] + M[0, 2]) / den
-    yw = (M[1, 0] * pts[:, 0] + M[1, 1] * pts[:, 1] + M[1, 2]) / den
-    return np.stack([xw, yw], axis=1)
+    horizon = np.abs(den) < SINGULARITY_TOL
+    if horizon.any():
+        px, py = pts[np.argmax(horizon)].tolist()
+        raise HorizonPointError(f"pixel ({px}, {py}) maps to infinity")
+    ground = np.stack([(M[0, 0] * x + M[0, 1] * y + M[0, 2]) / den,
+                       (M[1, 0] * x + M[1, 1] * y + M[1, 2]) / den], axis=1)
+    if not np.isfinite(ground).all():
+        raise ValueError("ground point must be finite")
+    return ground
 
 
 def _normalize_for_dlt(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,8 @@ import json
 import os
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import rasters
 from .config import RunConfig
 from .detections import IngestResult
@@ -79,26 +81,27 @@ class PipelineSummary:
 
 
 def _frame_detections(ingest: IngestResult, conf_threshold: float, tracker: Tracker):
-    """Yield (frame, boxes, k) covering every frame from first to last.
+    """Yield (frame, rows, k) covering every frame from first to last.
 
-    k is 1, except for a stretch of k > 1 frames without boxes that begins
-    while `tracker` is idle: it comes as one item with no boxes.  The
-    tracker is asked when an item is due, after the caller has stepped it
-    through the items before.
+    rows are the frame's detection rows at or above `conf_threshold`.  k is
+    1, except for a stretch of k > 1 frames without rows that begins while
+    `tracker` is idle: it comes as one item with no rows.  The tracker is
+    asked when an item is due, after the caller has stepped it through the
+    items before.
     """
     if not ingest.frames:
         return
-    kept = ((f, [r.bbox for r in recs if r.bbox.conf >= conf_threshold])
-            for f, recs in ingest.frames)
-    busy = [(f, boxes) for f, boxes in kept if boxes]
+    kept = ((f, rows[rows[:, 4] >= conf_threshold]) for f, rows in ingest.frames)
+    busy = [(f, rows) for f, rows in kept if len(rows)]
+    no_rows = np.zeros((0, 5))
     frame = ingest.first_frame
-    for next_busy, boxes in busy + [(ingest.last_frame + 1, None)]:
+    for next_busy, rows in busy + [(ingest.last_frame + 1, None)]:
         while frame < next_busy:
             k = next_busy - frame if tracker.idle else 1
-            yield frame, [], k
+            yield frame, no_rows, k
             frame += k
-        if boxes is not None:
-            yield frame, boxes, 1
+        if rows is not None:
+            yield frame, rows, 1
             frame += 1
 
 
@@ -137,7 +140,7 @@ def run_pipeline(
     track_lines: list[str] = []
     reports: list[FrameReport | range] = []
     frames_processed = 0
-    below_conf = 0
+    processed = 0  # detection rows at or above the confidence threshold
     person_frames = 0
     red_frames = 0
     yellow_pair_frames = 0
@@ -145,8 +148,7 @@ def run_pipeline(
     peak_red_frame: int | None = None
     peak_red = 0
 
-    total_ingested = ingest.accepted
-    for frame, boxes, k in _frame_detections(ingest, config.tracker.conf_threshold, tracker):
+    for frame, rows, k in _frame_detections(ingest, config.tracker.conf_threshold, tracker):
         try:
             if k > 1:
                 # Idle tracker, no boxes: each step would only record its frame,
@@ -158,17 +160,17 @@ def run_pipeline(
                 frames_processed += k
                 continue
 
-            snapshots = tracker.step(boxes, frame)
-            for snap in snapshots:
-                track_lines.append(format_mot_line(frame, snap.id, snap.bbox, snap.bbox.conf))
+            tracks = tracker.step(rows, frame)
+            processed += len(rows)
+            ids = tracks.ids.tolist()
+            for tid, box, conf in zip(ids, tracks.boxes.tolist(), tracks.conf.tolist()):
+                track_lines.append(format_mot_line(frame, tid, box, conf))
 
             if tracks_only:
                 frames_processed += 1
                 continue
 
-            pos = FramePositions.from_pairs(
-                frame, [(snap.id, snap.ground) for snap in snapshots]
-            )
+            pos = FramePositions(frame, ids, tracks.ground)
             violations = pairwise_violations(pos, config.policy)
             if config.couples_enabled:
                 update_couples(registry, pos, config.policy)
@@ -206,9 +208,6 @@ def run_pipeline(
         except Exception as exc:
             raise PipelineError(f"frame {frame}: {exc}") from exc
 
-    for frame, recs in ingest.frames:
-        below_conf += sum(1 for r in recs if r.bbox.conf < config.tracker.conf_threshold)
-
     with open(os.path.join(out, "tracks.txt"), "w", encoding="ascii", newline="\n") as fh:
         for line in track_lines:
             fh.write(line + "\n")
@@ -227,10 +226,10 @@ def run_pipeline(
 
     summary = PipelineSummary(
         frames_processed=frames_processed,
-        detections_ingested=total_ingested,
+        detections_ingested=ingest.accepted,
         detections_rejected=ingest.rejected,
-        detections_below_confidence=below_conf,
-        detections_processed=total_ingested - below_conf,
+        detections_below_confidence=ingest.accepted - processed,
+        detections_processed=processed,
         tracks_created=tracker.next_id - 1,
         person_frames=person_frames,
         red_person_frames=red_frames,

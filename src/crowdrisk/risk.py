@@ -4,7 +4,8 @@ Every person stamps a small cross-shaped kernel (center 2, edge neighbors
 1, corners 0) at their grid cell.  Three accumulators build on that:
 a monotone tracking grid, a 3-layer violation grid with per-layer
 coefficients, and a decaying crowd grid for ventilated scenes with its
-long-term moving average.
+long-term moving average.  A frame's stamps on a grid are one `np.add.at`,
+adding in the order of one `stamp_kernel` call per person.
 
 The crowd recurrences touch only live rows: rows some crowd stamp has
 reached, the kernel's +-1 rows included.  A row never stamped is 0.0 in the
@@ -26,6 +27,7 @@ from .distancing import FramePositions, ZoneLabel
 
 # Stamp offsets (drow, dcol, weight): kernel mass is 6 for interior stamps.
 _KERNEL = ((0, 0, 2.0), (-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0))
+_KERNEL_DR, _KERNEL_DC, _KERNEL_W = (np.array(col) for col in zip(*_KERNEL))
 
 
 def grid_zeros(height: int, width: int) -> np.ndarray:
@@ -67,14 +69,6 @@ class RiskGrid:
         if self.values is None:
             self.values = grid_zeros(self.height, self.width)
 
-    def cell_of(self, xw: float, yw: float) -> tuple[int, int] | None:
-        """(col, row) for a BEV point, or None when it falls off the grid."""
-        col = math.floor(xw / self.cell_scale)
-        row = math.floor(yw / self.cell_scale)
-        if 0 <= col < self.width and 0 <= row < self.height:
-            return col, row
-        return None
-
 
 def stamp_kernel(grid: RiskGrid, center: tuple[int, int]) -> RiskGrid:
     """Add the kernel at cell (col, row), clipping at the borders.
@@ -93,20 +87,27 @@ def stamp_kernel(grid: RiskGrid, center: tuple[int, int]) -> RiskGrid:
     return grid
 
 
-def _stamp_positions(grid: RiskGrid, pos: FramePositions, ids=None) -> None:
-    for tid, p in pos.entries:
-        if ids is not None and tid not in ids:
-            continue
-        cell = grid.cell_of(p.xw, p.yw)
-        if cell is None:
-            grid.dropped += 1
-        else:
-            stamp_kernel(grid, cell)
+def _stamp_positions(grid: RiskGrid, xy: np.ndarray) -> np.ndarray:
+    """Stamp the kernel at the cell of each (n, 2) BEV point; return the rows it reached.
+
+    A point's cell is (floor(xw / cell_scale), floor(yw / cell_scale)); off-grid
+    points count on grid.dropped.  `np.add.at` adds unbuffered in index order,
+    point by point and then kernel offset by offset, as stamp_kernel would.
+    """
+    col = np.floor(xy[:, 0] / grid.cell_scale)
+    row = np.floor(xy[:, 1] / grid.cell_scale)
+    inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
+    grid.dropped += len(xy) - int(np.count_nonzero(inside))
+    rows = row[inside].astype(np.intp)[:, None] + _KERNEL_DR
+    cols = col[inside].astype(np.intp)[:, None] + _KERNEL_DC
+    ok = (rows >= 0) & (rows < grid.height) & (cols >= 0) & (cols < grid.width)
+    np.add.at(grid.values, (rows[ok], cols[ok]), np.broadcast_to(_KERNEL_W, ok.shape)[ok])
+    return rows[ok]
 
 
 def accumulate_tracking(grid: RiskGrid, pos: FramePositions) -> RiskGrid:
     """Stamp every detected person for this frame onto the tracking grid."""
-    _stamp_positions(grid, pos)
+    _stamp_positions(grid, pos.xy)
     return grid
 
 
@@ -147,11 +148,12 @@ def accumulate_violations(
     vg: ViolationGrid, labels: dict[int, ZoneLabel], pos: FramePositions
 ) -> ViolationGrid:
     """Stamp red people on layer R, everyone on layer T, yellow on layer Y."""
-    red = {tid for tid, z in labels.items() if z is ZoneLabel.HIGH_RISK}
-    yellow = {tid for tid, z in labels.items() if z is ZoneLabel.POTENTIALLY_RISKY}
-    _stamp_positions(vg.layer_r, pos, red)
-    _stamp_positions(vg.layer_t, pos)
-    _stamp_positions(vg.layer_y, pos, yellow)
+    zones = [labels.get(tid) for tid in pos.ids]
+    red = np.array([z is ZoneLabel.HIGH_RISK for z in zones], dtype=bool)
+    yellow = np.array([z is ZoneLabel.POTENTIALLY_RISKY for z in zones], dtype=bool)
+    _stamp_positions(vg.layer_r, pos.xy[red])
+    _stamp_positions(vg.layer_t, pos.xy)
+    _stamp_positions(vg.layer_y, pos.xy[yellow])
     return vg
 
 
@@ -200,24 +202,12 @@ class CrowdGrid:
         self.live_runs = [(start, stop) for start, stop in edges.reshape(-1, 2).tolist()]
 
 
-def _stamped_rows(grid: RiskGrid, pos: FramePositions) -> np.ndarray:
-    """Rows the kernels of this frame's in-grid stamps reach, with repeats."""
-    xy = pos.xy
-    # the same float division and floor as RiskGrid.cell_of
-    col = np.floor(xy[:, 0] / grid.cell_scale)
-    row = np.floor(xy[:, 1] / grid.cell_scale)
-    inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
-    rows = (row[inside].astype(np.intp)[:, None] + np.array([-1, 0, 1])).ravel()
-    return rows[(rows >= 0) & (rows < grid.height)]
-
-
 def crowd_step(cg: CrowdGrid, pos: FramePositions) -> CrowdGrid:
     """Decay the live rows, then stamp the currently occupied cells."""
     values = cg.grid.values
     for start, stop in cg.live_runs:
         values[start:stop] *= cg.decay_gamma
-    _stamp_positions(cg.grid, pos)
-    cg._mark_rows(_stamped_rows(cg.grid, pos))
+    cg._mark_rows(_stamp_positions(cg.grid, pos.xy))
     return cg
 
 

@@ -12,6 +12,10 @@ call is bit-identical to the single-state call.  Predicted boxes are
 associated to detections as (n, 4) arrays by minimum 1-IoU cost, gated,
 and tracks move through a Tentative -> Confirmed -> Dead lifecycle; dead
 tracks leave the arrays in the frame they die.
+
+A frame comes in as one (m, 5) array of (cx, cy, w, h, conf) detection rows
+and leaves as one `FrameTracks` of arrays, its ground points projected in
+one `project_to_bev` call.
 """
 
 from __future__ import annotations
@@ -23,14 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .assignment import Assignment, solve_assignment
-from .geometry import (
-    BBox,
-    GroundPoint,
-    boxes_array,
-    foot_point,
-    iou_matrix,
-    project_to_bev,
-)
+from .geometry import BBox, boxes_array, foot_point, iou_matrix, project_to_bev
 
 STATE_DIM = 7
 MEAS_DIM = 4
@@ -242,15 +239,24 @@ class TrackArrays:
         )
 
 
-@dataclass(frozen=True)
-class TrackSnapshot:
-    """Per-frame view of a confirmed track, as reported by the tracker."""
+@dataclass(frozen=True, eq=False)
+class FrameTracks:
+    """The confirmed tracks updated in one frame, as arrays in birth order."""
 
-    id: int
-    bbox: BBox
-    ground: GroundPoint | None
-    hits: int
-    age: int
+    ids: np.ndarray  # (n,) track ids
+    boxes: np.ndarray  # (n, 4) posterior boxes, center format (cx, cy, w, h)
+    conf: np.ndarray  # (n,) confidence of the matched detection
+    ground: np.ndarray | None  # (n, 2) projected foot points; None without a projection
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _detection_rows(detections) -> np.ndarray:
+    """(m, 5) (cx, cy, w, h, conf) rows of such an array or of a sequence of BBox."""
+    if not isinstance(detections, np.ndarray):
+        detections = [(b.cx, b.cy, b.w, b.h, b.conf) for b in detections]
+    return np.asarray(detections, dtype=float).reshape(-1, 5)
 
 
 def associate(tracks, detections, iou_gate: float) -> Assignment:
@@ -339,11 +345,12 @@ class Tracker:
         records the frame number."""
         return len(self._tracks) == 0
 
-    def step(self, detections: list[BBox], frame: int) -> list[TrackSnapshot]:
+    def step(self, detections, frame: int) -> FrameTracks:
         """Advance one frame: predict, associate, update, manage lifecycle.
 
-        Returns snapshots of confirmed tracks updated this frame, with their
-        ground-plane position when a projection is configured.
+        `detections` is an (m, 5) array of (cx, cy, w, h, conf) rows or a
+        sequence of BBox.  Returns the confirmed tracks updated this frame,
+        with their ground-plane positions when a projection is configured.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise SequencingError(
@@ -362,8 +369,7 @@ class Tracker:
                 removed.extend(t.id[dead].tolist())
                 t = t.select(~dead)
 
-        det = np.array([(b.cx, b.cy, b.w, b.h, b.conf) for b in detections], dtype=float)
-        det = det.reshape(-1, 5)
+        det = _detection_rows(detections)
         det_boxes, det_conf = det[:, :4], det[:, 4]
         assign = associate(boxes_from_states(t.x), det_boxes, self.iou_gate)
 
@@ -391,27 +397,21 @@ class Tracker:
         self._tracks = t
 
         shown = np.flatnonzero(t.confirmed & (t.time_since_update == 0))
-        boxes = boxes_from_states(t.x[shown]).tolist()
-        out = []
-        for (cx, cy, w, h), tid, conf, hits, age in zip(
-            boxes, t.id[shown].tolist(), t.conf[shown].tolist(),
-            t.hits[shown].tolist(), t.age[shown].tolist(),
-        ):
-            box = BBox(cx, cy, w, h, conf)
-            ground = None
-            if self.projection is not None:
-                ground = project_to_bev(self.projection, foot_point(box))
-            out.append(TrackSnapshot(id=tid, bbox=box, ground=ground, hits=hits, age=age))
-
+        boxes = boxes_from_states(t.x[shown])
+        ground = None
+        if self.projection is not None:
+            ground = project_to_bev(self.projection, foot_point(boxes))
         self.last_spawned = spawned
         self.last_removed = removed
-        return out
+        return FrameTracks(ids=t.id[shown], boxes=boxes, conf=t.conf[shown], ground=ground)
 
 
-def format_mot_line(frame: int, track_id: int, bbox: BBox, conf: float) -> str:
-    """One MOTChallenge result line; coordinates and confidence at 2 decimals."""
-    left = bbox.cx - bbox.w / 2.0
-    top = bbox.cy - bbox.h / 2.0
-    return (
-        f"{frame},{track_id},{left:.2f},{top:.2f},{bbox.w:.2f},{bbox.h:.2f},{conf:.2f},-1,-1,-1"
-    )
+def format_mot_line(frame: int, track_id: int, box, conf: float) -> str:
+    """One MOTChallenge result line; coordinates and confidence at 2 decimals.
+
+    `box` is a center-format (cx, cy, w, h) sequence.
+    """
+    cx, cy, w, h = box
+    left = cx - w / 2.0
+    top = cy - h / 2.0
+    return f"{frame},{track_id},{left:.2f},{top:.2f},{w:.2f},{h:.2f},{conf:.2f},-1,-1,-1"

@@ -138,13 +138,13 @@ def test_homography_round_trip():
         den = M[2, 0] * x + M[2, 1] * y + M[2, 2]
         if abs(den) < 1e-3:  # horizon points excluded
             continue
-        fwd = project_to_bev(M, (x, y))
+        (fwd_x, fwd_y), = project_to_bev(M, [(x, y)])
         back_m = np.linalg.inv(M)
-        den_back = back_m[2, 0] * fwd.xw + back_m[2, 1] * fwd.yw + back_m[2, 2]
+        den_back = back_m[2, 0] * fwd_x + back_m[2, 1] * fwd_y + back_m[2, 2]
         if abs(den_back) < 1e-3:
             continue
-        back = project_to_bev(back_m, (fwd.xw, fwd.yw))
-        assert math.hypot(back.xw - x, back.yw - y) < 1e-9
+        (back_x, back_y), = project_to_bev(back_m, [(fwd_x, fwd_y)])
+        assert math.hypot(back_x - x, back_y - y) < 1e-9
         done += 1
 
     # scalar vs matrix agreement: well-conditioned points (the 1e-12 bound is
@@ -157,10 +157,10 @@ def test_homography_round_trip():
         x, y = rng.uniform(-2, 2, size=2)
         if abs(M[2, 0] * x + M[2, 1] * y + M[2, 2]) < 0.5:
             continue
-        fwd = project_to_bev(M, (x, y))
+        (fwd_x, fwd_y), = project_to_bev(M, [(x, y)])
         hom = M @ np.array([x, y, 1.0])
-        assert abs(fwd.xw - hom[0] / hom[2]) < 1e-12
-        assert abs(fwd.yw - hom[1] / hom[2]) < 1e-12
+        assert abs(fwd_x - hom[0] / hom[2]) < 1e-12
+        assert abs(fwd_y - hom[1] / hom[2]) < 1e-12
         done += 1
 
     recovered = 0
@@ -205,9 +205,10 @@ def test_tracker_integrity():
     ids_by_lane: dict[float, set[int]] = {50.0: set(), 300.0: set()}
     for frame in range(1, 101):
         dets = [BBox(2.0 * frame, 50.0, 10.0, 20.0), BBox(2.0 * frame, 300.0, 10.0, 20.0)]
-        for snap in tracker.step(dets, frame):
-            lane = min(ids_by_lane, key=lambda v: abs(snap.bbox.cy - v))
-            ids_by_lane[lane].add(snap.id)
+        out = tracker.step(dets, frame)
+        for tid, cy in zip(out.ids.tolist(), out.boxes[:, 1].tolist()):
+            lane = min(ids_by_lane, key=lambda v: abs(cy - v))
+            ids_by_lane[lane].add(tid)
     all_ids = ids_by_lane[50.0] | ids_by_lane[300.0]
     assert len(all_ids) == 2
     assert len(ids_by_lane[50.0]) == 1 and len(ids_by_lane[300.0]) == 1
@@ -217,11 +218,11 @@ def test_tracker_integrity():
         box = BBox(50.0, 50.0, 10.0, 20.0)
         frame = 0
         for frame in range(1, 4):
-            before = tracker.step([box], frame)[0].id
+            before = tracker.step([box], frame).ids[0]
         for _ in range(gap):
             frame += 1
             tracker.step([], frame)
-        after = tracker.step([box], frame + 1)[0].id
+        after = tracker.step([box], frame + 1).ids[0]
         return before, after
 
     before, after = run_gap(5)  # gap == max_age

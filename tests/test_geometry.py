@@ -25,7 +25,6 @@ from crowdrisk.geometry import (
     foot_point,
     intrinsic_matrix,
     iou,
-    project_points,
     project_to_bev,
     rotation_matrix,
     translation_matrix,
@@ -140,7 +139,7 @@ class TestFootPoint:
         ],
     )
     def test_bottom_edge_midpoint(self, box, expected):
-        assert foot_point(box) == expected
+        assert tuple(foot_point([box])[0]) == expected
 
 
 class TestBuildProjection:
@@ -175,8 +174,8 @@ class TestBuildProjection:
 
     def test_supplied_matrix_identity(self):
         cam = CameraModel.from_matrix(np.eye(3))
-        p = project_to_bev(cam.M, (7.0, 3.0))
-        assert (p.xw, p.yw) == (7.0, 3.0)
+        p = project_to_bev(cam.M, [(7.0, 3.0)])
+        assert p.tolist() == [[7.0, 3.0]]
 
     def test_nonpositive_height_rejected(self):
         cam = CameraModel(theta=math.pi / 4, height=0.0)
@@ -186,12 +185,12 @@ class TestBuildProjection:
 
 class TestProjectToBEV:
     def test_identity(self):
-        p = project_to_bev(np.eye(3), (7, 3))
-        assert (p.xw, p.yw) == (7.0, 3.0)
+        p = project_to_bev(np.eye(3), [(7, 3)])
+        assert p.tolist() == [[7.0, 3.0]]
 
     def test_diagonal_scale(self):
-        p = project_to_bev(np.diag([2.0, 2.0, 1.0]), (7, 3))
-        assert (p.xw, p.yw) == (14.0, 6.0)
+        p = project_to_bev(np.diag([2.0, 2.0, 1.0]), [(7, 3)])
+        assert p.tolist() == [[14.0, 6.0]]
 
     def test_round_trip_random_matrices(self):
         rng = np.random.default_rng(3)
@@ -202,11 +201,11 @@ class TestProjectToBEV:
                 continue
             x, y = rng.uniform(-5, 5, size=2)
             try:
-                fwd = project_to_bev(M, (x, y))
-                back = project_to_bev(np.linalg.inv(M), (fwd.xw, fwd.yw))
+                fwd = project_to_bev(M, [(x, y)])
+                (back_x, back_y), = project_to_bev(np.linalg.inv(M), fwd)
             except HorizonPointError:
                 continue
-            assert math.hypot(back.xw - x, back.yw - y) < 1e-9
+            assert math.hypot(back_x - x, back_y - y) < 1e-9
             done += 1
 
     def test_scalar_form_matches_matrix_form(self):
@@ -215,18 +214,18 @@ class TestProjectToBEV:
             M = rng.uniform(-2, 2, size=(3, 3))
             M[2, 2] += 3.0  # keep the test points off the horizon
             x, y = rng.uniform(-1, 1, size=2)
-            p = project_to_bev(M, (x, y))
+            (px, py), = project_to_bev(M, [(x, y)])
             hom = M @ np.array([x, y, 1.0])
-            assert abs(p.xw - hom[0] / hom[2]) < 1e-12
-            assert abs(p.yw - hom[1] / hom[2]) < 1e-12
-            batch = project_points(M, np.array([[x, y]]))
-            assert abs(batch[0, 0] - p.xw) < 1e-12
-            assert abs(batch[0, 1] - p.yw) < 1e-12
+            assert abs(px - hom[0] / hom[2]) < 1e-12
+            assert abs(py - hom[1] / hom[2]) < 1e-12
+            batch = project_to_bev(M, np.array([[x, y], [y, x]]))
+            assert abs(batch[0, 0] - px) < 1e-12
+            assert abs(batch[0, 1] - py) < 1e-12
 
     def test_horizon_point_raises(self):
         M = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 1.0, -10.0]])
         with pytest.raises(HorizonPointError):
-            project_to_bev(M, (0.0, 10.0))
+            project_to_bev(M, [(0.0, 10.0)])
 
 
 class TestEstimateHomography:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -172,6 +173,85 @@ class TestCrowdGrid:
         assert np.allclose(lt.values, 0.1 * ones)
         lt.update(ones)
         assert np.allclose(lt.values, 0.19 * ones)
+
+
+def stamp_loop(grid: RiskGrid, pos: FramePositions, ids=None) -> None:
+    """Reference: one scalar stamp_kernel call per person, in row order."""
+    for tid, p in pos.entries:
+        if ids is None or tid in ids:
+            stamp_kernel(grid, (math.floor(p.xw / grid.cell_scale),
+                                math.floor(p.yw / grid.cell_scale)))
+
+
+def crowded_frame(rng, width: int, height: int, scale: float, frame: int) -> FramePositions:
+    """People packed into a few cells, border cells among them, plus off-grid points."""
+    cols = rng.choice([0, 1, width - 1, *rng.integers(0, width, 2)], size=3)
+    rows = rng.choice([0, height - 1, *rng.integers(0, height, 2)], size=3)
+    n_in = int(rng.integers(0, 12))
+    cell = rng.integers(0, 3, size=n_in)  # many people share each of three cells
+    xs = (cols[cell] + rng.uniform(0, 1, n_in)) * scale
+    ys = (rows[cell] + rng.uniform(0, 1, n_in)) * scale
+    off = rng.choice([-0.5, -3 * scale, -1e9, width * scale, (width + 2) * scale], size=(2, 2))
+    xs = np.concatenate([xs, off[0], rng.uniform(0, width * scale, 2)])
+    ys = np.concatenate([ys, rng.uniform(0, height * scale, 2), off[1]])
+    order = rng.permutation(len(xs))
+    ids = [int(i) for i in rng.choice(10_000, size=len(xs), replace=False)]
+    return FramePositions(frame, ids, np.stack([xs, ys], axis=1)[order])
+
+
+class TestStampOracle:
+    """The vectorised stamps against a loop of scalar stamp_kernel calls, bit for bit."""
+
+    WIDTH, HEIGHT, SCALE = 9, 7, 1.5
+
+    def frames(self, seed: int, n: int = 60):
+        rng = np.random.default_rng(seed)
+        return [crowded_frame(rng, self.WIDTH, self.HEIGHT, self.SCALE, k + 1) for k in range(n)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tracking_grid(self, seed):
+        grid = RiskGrid(self.WIDTH, self.HEIGHT, self.SCALE)
+        ref = RiskGrid(self.WIDTH, self.HEIGHT, self.SCALE)
+        for pos in self.frames(seed):
+            accumulate_tracking(grid, pos)
+            stamp_loop(ref, pos)
+            assert np.array_equal(grid.values, ref.values)
+            assert grid.dropped == ref.dropped
+        assert ref.dropped > 0 and ref.values[0].any() and ref.values[-1].any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_violation_layers(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        vg = ViolationGrid(self.WIDTH, self.HEIGHT, cell_scale=self.SCALE)
+        ref = ViolationGrid(self.WIDTH, self.HEIGHT, cell_scale=self.SCALE)
+        zones = list(ZoneLabel)
+        for pos in self.frames(seed):
+            labels = {tid: zones[int(rng.integers(0, 3))] for tid in pos.ids}
+            accumulate_violations(vg, labels, pos)
+            stamp_loop(ref.layer_r, pos, {t for t, z in labels.items() if z is ZoneLabel.HIGH_RISK})
+            stamp_loop(ref.layer_t, pos)
+            stamp_loop(ref.layer_y, pos,
+                       {t for t, z in labels.items() if z is ZoneLabel.POTENTIALLY_RISKY})
+            for name in ("layer_r", "layer_t", "layer_y"):
+                got, want = getattr(vg, name), getattr(ref, name)
+                assert np.array_equal(got.values, want.values), name
+                assert got.dropped == want.dropped, name
+        assert ref.layer_r.dropped > 0 and ref.layer_y.dropped > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crowd_step_on_fractional_mass(self, seed):
+        # a pre-filled grid of non-integer mass: each cell's sum depends on
+        # the order its additions happen in
+        start = np.random.default_rng(seed).uniform(0, 1, (self.HEIGHT, self.WIDTH)) / 3.0
+        cg = CrowdGrid(self.WIDTH, self.HEIGHT, decay_gamma=0.93, cell_scale=self.SCALE,
+                       grid=RiskGrid(self.WIDTH, self.HEIGHT, self.SCALE, values=start.copy()))
+        ref = RiskGrid(self.WIDTH, self.HEIGHT, self.SCALE, values=start.copy())
+        for pos in self.frames(seed):
+            crowd_step(cg, pos)
+            ref.values *= 0.93
+            stamp_loop(ref, pos)
+            assert np.array_equal(cg.values, ref.values)
+            assert cg.grid.dropped == ref.dropped
 
 
 def random_frames(rng, n_frames: int, width: int, height: int, scale: float):

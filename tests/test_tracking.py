@@ -150,28 +150,28 @@ class TestTrackerLifecycle:
     def test_steady_box_confirms_with_stable_id(self):
         tracker = Tracker(min_hits=3)
         box = BBox(50, 50, 10, 20)
-        assert tracker.step([box], 1) == []
-        assert tracker.step([box], 2) == []
+        assert len(tracker.step([box], 1)) == 0
+        assert len(tracker.step([box], 2)) == 0
         out = tracker.step([box], 3)
         assert len(out) == 1
-        assert out[0].id == 1
+        assert out.ids[0] == 1
         for frame in range(4, 10):
             out = tracker.step([box], frame)
-            assert [t.id for t in out] == [1]
+            assert out.ids.tolist() == [1]
 
     def test_gap_of_max_age_preserves_id(self):
         tracker = Tracker(min_hits=1, max_age=5)
         box = BBox(50, 50, 10, 20)
         for frame in range(1, 4):
             out = tracker.step([box], frame)
-        assert out[0].id == 1
+        assert out.ids[0] == 1
         frame = 4
         for _ in range(5):  # exactly max_age missed frames
             tracker.step([], frame)
             frame += 1
         assert not tracker.idle
         out = tracker.step([box], frame)
-        assert [t.id for t in out] == [1]
+        assert out.ids.tolist() == [1]
 
     def test_gap_of_max_age_plus_one_reassigns(self):
         tracker = Tracker(min_hits=1, max_age=5)
@@ -185,16 +185,17 @@ class TestTrackerLifecycle:
             frame += 1
         assert tracker.idle
         out = tracker.step([box], frame)
-        assert [t.id for t in out] == [2]
+        assert out.ids.tolist() == [2]
 
     def test_two_parallel_walkers_no_switches(self):
         tracker = Tracker(min_hits=3, max_age=10)
         ids_by_lane: dict[float, set[int]] = {50.0: set(), 300.0: set()}
         for frame in range(1, 101):
             dets = [walker_box(frame, v=50.0), walker_box(frame, v=300.0)]
-            for snap in tracker.step(dets, frame):
-                lane = min(ids_by_lane, key=lambda v: abs(snap.bbox.cy - v))
-                ids_by_lane[lane].add(snap.id)
+            out = tracker.step(dets, frame)
+            for tid, cy in zip(out.ids.tolist(), out.boxes[:, 1].tolist()):
+                lane = min(ids_by_lane, key=lambda v: abs(cy - v))
+                ids_by_lane[lane].add(tid)
         assert len(ids_by_lane[50.0]) == 1
         assert len(ids_by_lane[300.0]) == 1
         assert ids_by_lane[50.0] != ids_by_lane[300.0]
@@ -216,8 +217,7 @@ class TestTrackerLifecycle:
             dets = (
                 [BBox(float(rng.integers(0, 5000)), 50, 10, 10)] if frame % 2 else []
             )
-            for snap in tracker.step(dets, frame):
-                seen.append(snap.id)
+            seen.extend(tracker.step(dets, frame).ids.tolist())
         assert seen == sorted(set(seen))
 
     def test_determinism_identical_streams(self):
@@ -230,8 +230,10 @@ class TestTrackerLifecycle:
                     BBox(10.0 * k + rng.uniform(-1, 1), 50 + rng.uniform(-1, 1), 8, 16)
                     for k in range(4)
                 ]
-                for snap in tracker.step(dets, frame):
-                    lines.append(format_mot_line(frame, snap.id, snap.bbox, snap.bbox.conf))
+                out = tracker.step(dets, frame)
+                for tid, box, conf in zip(out.ids.tolist(), out.boxes.tolist(),
+                                          out.conf.tolist()):
+                    lines.append(format_mot_line(frame, tid, box, conf))
             return lines
 
         assert run() == run()
@@ -240,8 +242,8 @@ class TestTrackerLifecycle:
         tracker = Tracker(projection=np.eye(3), min_hits=1)
         out = tracker.step([BBox(10, 10, 4, 8)], 1)
         # foot point of the posterior box: first update equals the measurement
-        assert out[0].ground.xw == pytest.approx(10.0, abs=1e-9)
-        assert out[0].ground.yw == pytest.approx(14.0, abs=1e-9)
+        assert out.ground[0, 0] == pytest.approx(10.0, abs=1e-9)
+        assert out.ground[0, 1] == pytest.approx(14.0, abs=1e-9)
 
     def test_tracks_view_reports_lifecycle(self):
         tracker = Tracker(min_hits=2)
@@ -260,5 +262,5 @@ class TestTrackerLifecycle:
 
 class TestMotLine:
     def test_fixed_decimals(self):
-        line = format_mot_line(3, 7, BBox(125.0, 250.0, 50.0, 100.0, 0.9), 0.9)
+        line = format_mot_line(3, 7, (125.0, 250.0, 50.0, 100.0), 0.9)
         assert line == "3,7,100.00,200.00,50.00,100.00,0.90,-1,-1,-1"
