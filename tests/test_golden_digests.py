@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of the deterministic artifacts of two reference runs.
+"""Pinned sha256 digests of the deterministic artifacts of three reference runs.
 
 `test_determinism_golden` only compares two runs of the same code with each
 other; these pins also catch a refactor that changes behaviour.  A change
@@ -8,7 +8,11 @@ and why.
 Runs:
 - golden: `data/synthetic_300.det` with `data/synthetic.cfg`;
 - dense: `crowd_stream_lines(1000, lanes=20, seed=12)` with
-  `scene_config(grid=640)`, the first 1,000 frames of the acceptance stream.
+  `scene_config(grid=640)`, the first 1,000 frames of the acceptance stream;
+- sparse: `sparse_gap_walkers()` over 180 frames with `scene_config(grid=512)`,
+  two bursts of a few people with 60 empty frames between them, so the
+  tables are mostly all-zero rows around a few live ones (only the four
+  value tables are pinned).
 """
 
 from __future__ import annotations
@@ -21,7 +25,12 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from synthetic import crowd_stream_lines, scene_config  # noqa: E402
+from synthetic import (  # noqa: E402
+    Walker,
+    crowd_stream_lines,
+    mot_lines,
+    scene_config,
+)
 
 from crowdrisk.config import load_config
 from crowdrisk.detections import parse_mot_detections
@@ -48,7 +57,28 @@ PINS = {
         "crowd_grid.txt": "21f10b1d98cc00a51fd601867dcfe43482f5ea295cc0f5f3816b5ee88592de72",
         "longterm_crowd.txt": "98952fcaad74cde2131af8764900d6d937d31d64e0d9f2c72363f48d5befee1d",
     },
+    "sparse": {
+        "tracking_grid.txt": "1b527ee51d12a9a4c77d00273fb9a7d63c85e53253dc2e2e8710fb90d05fb713",
+        "violation_grid.txt": "c367c8d8c4611a8b7b47373fc4db67595053a21aec698a01b94073e9a457568d",
+        "crowd_grid.txt": "0f73161d93ff453329eb2e17b4765737cf51adbd4c982f6e7e59e0de4589ce8e",
+        "longterm_crowd.txt": "9763fa1586ad22a20f61e38734709b7c4e0176f09ee264825de53b4bb6665e6b",
+    },
 }
+
+
+def sparse_gap_walkers() -> list[Walker]:
+    """Three people in frames 1-60, none in 61-120, two in 121-180.
+
+    Two of the first burst cross within the safe distance, so the
+    violation table has live cells too.
+    """
+    return [
+        Walker(enter=1, leave=60, x0=100, y0=100, vx=1.0, vy=0.5),
+        Walker(enter=1, leave=60, x0=130, y0=160, vx=0.5, vy=-0.5),
+        Walker(enter=1, leave=60, x0=400, y0=380, vx=-0.6, vy=0.2),
+        Walker(enter=121, leave=180, x0=250, y0=40, vx=0.0, vy=1.2),
+        Walker(enter=121, leave=180, x0=60, y0=470, vx=1.1, vy=0.0),
+    ]
 
 
 def _run(name: str, tmp_path) -> str:
@@ -56,6 +86,11 @@ def _run(name: str, tmp_path) -> str:
     if name == "golden":
         config = load_config(os.path.join(DATA_DIR, "synthetic.cfg"), env={})
         ingest = parse_mot_detections(os.path.join(DATA_DIR, "synthetic_300.det"))
+    elif name == "sparse":
+        cfg_path = tmp_path / "sparse.cfg"
+        cfg_path.write_text(scene_config(grid=512))
+        config = load_config(str(cfg_path), env={})
+        ingest = parse_mot_detections(mot_lines(sparse_gap_walkers(), 180, seed=9))
     else:
         cfg_path = tmp_path / "dense.cfg"
         cfg_path.write_text(scene_config(grid=640))
