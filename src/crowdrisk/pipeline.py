@@ -284,16 +284,26 @@ def render_from_tables(tables_dir: str, out_dir: str) -> list[str]:
     """Re-render rasters from previously written value tables.
 
     Needs tracking_grid.txt and violation_grid.txt; crowd tables are
-    re-rendered when present.  Returns the written raster paths.
+    re-rendered when present.  Every table is read and checked before the
+    first raster is written, so a bad table leaves no partial raster set.
+    Returns the written raster paths.
     """
-    tracking_path = os.path.join(tables_dir, "tracking_grid.txt")
-    violation_path = os.path.join(tables_dir, "violation_grid.txt")
-    for path in (tracking_path, violation_path):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing value table: {path}")
+    names = ("tracking_grid", "violation_grid", "crowd_grid", "longterm_crowd")
+    paths = {name: os.path.join(tables_dir, f"{name}.txt") for name in names}
+    for name in names[:2]:
+        if not os.path.exists(paths[name]):
+            raise FileNotFoundError(f"missing value table: {paths[name]}")
+    tables = {
+        name: rasters.read_value_table(path)
+        for name, path in paths.items()
+        if os.path.exists(path)
+    }
+    G, S = tables["tracking_grid"], tables["violation_grid"]
+    if G.shape != S.shape:
+        raise ValueError(
+            f"{paths['violation_grid']}: shape {S.shape} differs from tracking_grid.txt {G.shape}"
+        )
     os.makedirs(out_dir, exist_ok=True)
-    G = rasters.read_value_table(tracking_path)
-    S = rasters.read_value_table(violation_path)
     written = []
 
     def _emit(name: str, writer, *args) -> None:
@@ -304,8 +314,7 @@ def render_from_tables(tables_dir: str, out_dir: str) -> list[str]:
     _emit("tracking_grid.pgm", rasters.write_pgm16, G)
     _emit("violation_grid.pgm", rasters.write_pgm16, S)
     _emit("heatmap.ppm", rasters.write_heatmap_ppm, render_heatmap(G, S))
-    for name in ("crowd_grid", "longterm_crowd"):
-        table = os.path.join(tables_dir, f"{name}.txt")
-        if os.path.exists(table):
-            _emit(f"{name}.pgm", rasters.write_pgm16, rasters.read_value_table(table))
+    for name in names[2:]:
+        if name in tables:
+            _emit(f"{name}.pgm", rasters.write_pgm16, tables[name])
     return written

@@ -3,12 +3,14 @@
 Grayscale goes out as binary PGM (P5) with 16-bit big-endian samples,
 color as binary PPM (P6) with 8-bit samples.  Value tables are plain
 whitespace-separated text with a `# rows cols` header so external tools
-can re-plot the raw grids.
+can re-plot the raw grids: one line per grid row, each cell as its own
+`.17g` text (round-trip exact, signed zero included).  The risk grids are
+mostly all-zero rows, so writing and reading a table cost what its
+non-zero rows cost: an all-zero row is one cached `0 0 ... 0` line, and only
+the other rows are formatted or parsed.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -83,32 +85,103 @@ def write_heatmap_ppm(path: str, hue: np.ndarray) -> None:
     write_ppm(path, hue_to_rgb(hue, scale=2.0))
 
 
+def _zero_row(cols: int) -> str:
+    """The text of an all-zero table row: `0 0 ... 0` and a newline."""
+    return " ".join("0" * cols) + "\n"
+
+
 def write_value_table(path: str, values: np.ndarray) -> None:
-    """Dump a matrix as text rows, header `# rows cols`, round-trip exact."""
+    """Dump a matrix as text rows, header `# rows cols`, round-trip exact.
+
+    Every cell is written as its own `.17g` text, `-0` included.  Only the
+    rows and cells that are not +0.0 are formatted: an all-zero row is one
+    cached string, and a live row splices its cell texts between slices of
+    that string, so the cost follows the non-zero cells, not the grid.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"value table input must be 2-D, got shape {values.shape}")
     rows, cols = values.shape
-    # grids are sparse in distinct values (mostly zeros); format each once
-    uniq, inverse = np.unique(values.ravel(), return_inverse=True)
-    lut = np.array([f"{x:.17g}" for x in uniq], dtype=object)
-    cells = lut[inverse]
+    zero_row = _zero_row(cols)
+    # +0.0 is the only value whose bits are all zero; -0.0 is written as `-0`
+    bits = np.ascontiguousarray(values).view(np.uint64)
+    live_rows = np.flatnonzero(bits.any(axis=1))
+    r, c = np.nonzero(bits[live_rows])
+    uniq, inverse = np.unique(values[live_rows[r], c], return_inverse=True)
+    texts = [f"{x:.17g}" for x in uniq.tolist()]
+    # per live row: where each cell's `0` sits in the zero row, and its text
+    cuts = np.searchsorted(r, np.arange(1, len(live_rows)))
+    row_cells = zip(np.split(2 * c, cuts), np.split(inverse, cuts))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# {rows} {cols}\n")
-        for r in range(rows):
-            fh.write(" ".join(cells[r * cols:(r + 1) * cols]))
-            fh.write("\n")
+        next_row = 0
+        for row, (offsets, text_ids) in zip(live_rows.tolist(), row_cells):
+            fh.write(zero_row * (row - next_row))
+            parts = []
+            at = 0
+            for offset, k in zip(offsets.tolist(), text_ids.tolist()):
+                parts += (zero_row[at:offset], texts[k])
+                at = offset + 1
+            parts.append(zero_row[at:])
+            fh.write("".join(parts))
+            next_row = row + 1
+        fh.write(zero_row * (rows - next_row))
+
+
+def _bad_table(path: str, lines: list[str], candidates, cols: int) -> ValueError:
+    """The error for data lines that do not hold `cols` numbers each.
+
+    Names the file and the 1-based line number of the first bad line among
+    `candidates` (indices into `lines`, which start at file line 2).
+    """
+    for i in candidates:
+        tokens = lines[i].split()
+        if len(tokens) != cols:
+            return ValueError(f"{path}:{i + 2}: expected {cols} values, found {len(tokens)}")
+        for col, token in enumerate(tokens, 1):
+            try:
+                float(token.replace("_", "!"))  # loadtxt, unlike float(), rejects `1_0`
+            except ValueError:
+                return ValueError(f"{path}:{i + 2}: value {col} is not a number: {token!r}")
+    return ValueError(f"{path}: rows are not {cols} numbers each")
 
 
 def read_value_table(path: str) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "#":
-            raise ValueError(f"{os.path.basename(path)}: missing `# rows cols` header")
-        rows, cols = int(header[1]), int(header[2])
-        values = np.loadtxt(fh, dtype=float, ndmin=2)
-    if values.shape != (rows, cols):
+    """Read a table written by `write_value_table`.
+
+    Lines equal to the all-zero row stay zeros; only the others are
+    parsed.  A malformed table raises ValueError naming the file and line.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not an ASCII value table ({exc.reason})") from None
+    if len(header) != 3 or header[0] != "#" or not all(h.isdigit() for h in header[1:]):
+        raise ValueError(f"{path}:1: missing `# rows cols` header")
+    rows, cols = int(header[1]), int(header[2])
+    if len(lines) != rows:
         raise ValueError(
-            f"{os.path.basename(path)}: header says {rows}x{cols}, data is {values.shape}"
+            f"{path}:{min(len(lines), rows) + 2}: header says {rows} rows, file has {len(lines)}"
         )
+    if not rows:
+        return np.zeros((0, cols))
+    # a line shorter than this cannot hold `cols` values; checked before
+    # `cols` sizes the zero row, so the header cannot ask for a huge one
+    if max(map(len, lines)) < 2 * cols - 1:
+        raise _bad_table(path, lines, range(rows), cols)
+    zero_row = _zero_row(cols)
+    live = [i for i, line in enumerate(lines) if line != zero_row]
+    parsed = np.zeros((0, cols))
+    if live:
+        try:
+            parsed = np.loadtxt([lines[i] for i in live], dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            raise _bad_table(path, lines, live, cols) from None
+        if parsed.shape != (len(live), cols):
+            raise _bad_table(path, lines, live, cols)
+    # allocated only now: each line is known to hold `cols` values
+    values = np.zeros((rows, cols))
+    values[live] = parsed
     return values

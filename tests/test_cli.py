@@ -76,6 +76,17 @@ class TestHeatmap:
                 os.path.join(rerender, name)
             ), f"{name} differs after re-render"
 
+    def test_ragged_table_error_names_file_and_line(self, tmp_path, capsys):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "tracking_grid.txt").write_text("# 2 3\n0 0 0\n1 2 3 4\n")
+        (tables / "violation_grid.txt").write_text("# 2 3\n0 0 0\n0 0 0\n")
+        code = main(["heatmap", "--tables", str(tables), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{tables / 'tracking_grid.txt'}:3: expected 3 values, found 4" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_tables_fail(self, tmp_path, capsys):
         code = main(["heatmap", "--tables", str(tmp_path), "--out", str(tmp_path / "o")])
         assert code == 1

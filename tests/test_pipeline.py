@@ -13,7 +13,7 @@ from crowdrisk import pipeline
 from crowdrisk.config import load_config
 from crowdrisk.detections import parse_jsonl_detections, parse_mot_detections
 from crowdrisk.pipeline import STATS_HEADER, PipelineError, run_pipeline
-from crowdrisk.rasters import read_value_table
+from crowdrisk.rasters import read_value_table, write_value_table
 from crowdrisk.risk import LongTermCrowd
 from crowdrisk.tracking import Tracker
 
@@ -268,3 +268,39 @@ class TestGridsMatchDirectAccumulation:
             + 0.5 * 6 * (2 * summary.yellow_pair_frames)
         )
         assert combined.sum() == pytest.approx(expected, rel=1e-9)
+
+
+class TestRenderFromTables:
+    GRIDS = ("tracking_grid", "violation_grid", "crowd_grid", "longterm_crowd")
+
+    def _tables(self, tmp_path):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        grid = np.zeros((4, 5))
+        grid[1, 2] = 1.0
+        for name in self.GRIDS:
+            write_value_table(str(tables / f"{name}.txt"), grid)
+        return tables
+
+    def test_malformed_crowd_table_writes_no_raster(self, tmp_path):
+        tables = self._tables(tmp_path)
+        (tables / "crowd_grid.txt").write_text("# 4 5\n0 0 0 0 0\n1 2 3\n0 0 0 0 0\n0 0 0 0 0\n")
+        out = tmp_path / "re"
+        with pytest.raises(ValueError, match=r"crowd_grid\.txt:3: expected 5 values, found 3"):
+            pipeline.render_from_tables(str(tables), str(out))
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_mismatched_shapes_write_no_raster(self, tmp_path):
+        tables = self._tables(tmp_path)
+        write_value_table(str(tables / "violation_grid.txt"), np.zeros((5, 4)))
+        out = tmp_path / "re"
+        with pytest.raises(ValueError, match="violation_grid"):
+            pipeline.render_from_tables(str(tables), str(out))
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_renders_every_table(self, tmp_path):
+        tables = self._tables(tmp_path)
+        written = pipeline.render_from_tables(str(tables), str(tmp_path / "re"))
+        assert sorted(os.path.basename(p) for p in written) == sorted(
+            ["heatmap.ppm"] + [f"{name}.pgm" for name in self.GRIDS]
+        )
