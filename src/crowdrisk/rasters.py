@@ -90,6 +90,23 @@ def _zero_row(cols: int) -> str:
     return " ".join("0" * cols) + "\n"
 
 
+# Runs of zero rows go out in writes of at most this many bytes.  Every
+# temporary of the writer stays below glibc's initial mmap threshold
+# (128 KiB): freeing a multi-MB temporary would raise that threshold, the
+# rasters' later multi-MB arrays would then stay resident on the heap after
+# they are freed, and the run's peak memory would grow by an amount that
+# follows where the live rows fall.
+_ZERO_BLOCK_BYTES = 64 * 1024
+
+
+def _write_zero_rows(fh, block: memoryview, width: int, n: int) -> None:
+    """Write n all-zero rows of `width` bytes each from a block of them."""
+    per_block = len(block) // width
+    for _ in range(n // per_block):
+        fh.write(block)
+    fh.write(block[:(n % per_block) * width])
+
+
 def write_value_table(path: str, values: np.ndarray) -> None:
     """Dump a matrix as text rows, header `# rows cols`, round-trip exact.
 
@@ -102,30 +119,33 @@ def write_value_table(path: str, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise ValueError(f"value table input must be 2-D, got shape {values.shape}")
     rows, cols = values.shape
-    zero_row = _zero_row(cols)
+    zero_row = _zero_row(cols).encode("ascii")
+    zero_block = memoryview(zero_row * max(1, _ZERO_BLOCK_BYTES // len(zero_row)))
     # +0.0 is the only value whose bits are all zero; -0.0 is written as `-0`
     bits = np.ascontiguousarray(values).view(np.uint64)
-    live_rows = np.flatnonzero(bits.any(axis=1))
-    r, c = np.nonzero(bits[live_rows])
-    uniq, inverse = np.unique(values[live_rows[r], c], return_inverse=True)
-    texts = [f"{x:.17g}" for x in uniq.tolist()]
-    # per live row: where each cell's `0` sits in the zero row, and its text
-    cuts = np.searchsorted(r, np.arange(1, len(live_rows)))
-    row_cells = zip(np.split(2 * c, cuts), np.split(inverse, cuts))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# {rows} {cols}\n")
+    live_rows = np.flatnonzero(bits.any(axis=1)).tolist()
+    # the live cells row by row: small arrays, never a copy of the live rows
+    live_cols = [np.flatnonzero(bits[row]) for row in live_rows]
+    cells = [values[row, c] for row, c in zip(live_rows, live_cols)]
+    uniq, inverse = np.unique(np.concatenate([np.zeros(0), *cells]), return_inverse=True)
+    texts = [f"{x:.17g}".encode("ascii") for x in uniq.tolist()]
+    with open(path, "wb") as fh:
+        fh.write(f"# {rows} {cols}\n".encode("ascii"))
         next_row = 0
-        for row, (offsets, text_ids) in zip(live_rows.tolist(), row_cells):
-            fh.write(zero_row * (row - next_row))
+        first = 0
+        for row, c in zip(live_rows, live_cols):
+            _write_zero_rows(fh, zero_block, len(zero_row), row - next_row)
+            # each cell's `0` sits at byte 2 * col of the zero row
             parts = []
             at = 0
-            for offset, k in zip(offsets.tolist(), text_ids.tolist()):
-                parts += (zero_row[at:offset], texts[k])
-                at = offset + 1
+            for col, k in zip(c.tolist(), inverse[first:first + len(c)].tolist()):
+                parts += (zero_row[at:2 * col], texts[k])
+                at = 2 * col + 1
             parts.append(zero_row[at:])
-            fh.write("".join(parts))
+            fh.write(b"".join(parts))
+            first += len(c)
             next_row = row + 1
-        fh.write(zero_row * (rows - next_row))
+        _write_zero_rows(fh, zero_block, len(zero_row), rows - next_row)
 
 
 def _bad_table(path: str, lines: list[str], candidates, cols: int) -> ValueError:

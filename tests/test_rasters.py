@@ -214,6 +214,24 @@ class TestValueTable:
         # the grid is 32 MB; the full-grid writer peaked at 164 MB on top of it
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
+    def test_sparse_write_temporaries_stay_small(self, tmp_path):
+        # 200 live rows between zero runs of 600 and 1,048 rows: neither a
+        # copy of the live rows (3 MB) nor a zero run's text (up to 4 MB)
+        # may be built whole
+        values = np.zeros((2048, 2048))
+        rows = np.arange(600, 1000, 2)
+        values[rows, (rows * 7) % 2048] = 1.25
+        values[rows, 2047] = 2.5
+        path = str(tmp_path / "gaps.txt")
+        tracemalloc.start()
+        try:
+            write_value_table(path, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10, f"peak {peak / 2**10:.0f} KiB"
+        assert np.array_equal(read_value_table(path), values)
+
 
 class TestHostileTables:
     def _error(self, tmp_path, text):
