@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -89,7 +90,12 @@ def _read_points(path: str) -> list[tuple[tuple[float, float], tuple[float, floa
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"{path}:{line_no}: expected `u v xw yw`, got {raw!r}")
-            u, v, xw, yw = (float(x) for x in parts)
+            try:
+                u, v, xw, yw = (float(x) for x in parts)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: non-numeric field in {raw!r}") from None
+            if not all(map(math.isfinite, (u, v, xw, yw))):
+                raise ValueError(f"{path}:{line_no}: non-finite field in {raw!r}")
             points.append(((u, v), (xw, yw)))
     return points
 

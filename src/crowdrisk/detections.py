@@ -130,6 +130,8 @@ def parse_jsonl_detections(source: str | IO[str] | Iterable[str]) -> IngestResul
         except KeyError:
             missing = [k for k in _JSONL_KEYS if k not in obj]
             raise DetectionParseError(line_no, f"missing keys {missing}") from None
+        if type(frame) is bool or (type(frame) is float and not frame.is_integer()):
+            raise DetectionParseError(line_no, f"frame must be an integer, got {frame!r}")
         try:
             frame = int(frame)
             values.extend(map(float, box))

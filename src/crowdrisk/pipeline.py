@@ -214,15 +214,20 @@ def run_pipeline(
 
     dropped = 0
     if not tracks_only:
-        dropped = (
-            tracking_grid.dropped
-            + violation_grid.layer_r.dropped
-            + violation_grid.layer_t.dropped
-            + violation_grid.layer_y.dropped
-            + crowd.grid.dropped
-        )
+        # the tracking grid is also the presence layer: its drops count for both
+        dropped = (2 * tracking_grid.dropped + violation_grid.layer_r.dropped
+                   + violation_grid.layer_y.dropped + crowd.grid.dropped)
         _write_stats(os.path.join(out, "stats.csv"), reports)
-        _write_grids(out, config, tracking_grid, violation_grid, crowd, long_term)
+        tables = {
+            "tracking_grid": tracking_grid.values,
+            "violation_grid": violation_grid.combined(tracking_grid.values),
+        }
+        if config.crowd_map_enabled:
+            tables["crowd_grid"] = crowd.values
+            tables["longterm_crowd"] = long_term.values
+        _write_rasters(out, tables)
+        for name, values in tables.items():
+            rasters.write_value_table(os.path.join(out, f"{name}.txt"), values)
 
     summary = PipelineSummary(
         frames_processed=frames_processed,
@@ -257,27 +262,16 @@ def _write_stats(path: str, reports: list[FrameReport | range]) -> None:
                 fh.write(report.row() + "\n")
 
 
-def _write_grids(
-    out: str,
-    config: RunConfig,
-    tracking_grid: RiskGrid,
-    violation_grid: ViolationGrid,
-    crowd: CrowdGrid,
-    long_term: LongTermCrowd,
-) -> None:
-    combined = violation_grid.combined()
-    rasters.write_value_table(os.path.join(out, "tracking_grid.txt"), tracking_grid.values)
-    rasters.write_value_table(os.path.join(out, "violation_grid.txt"), combined)
-    rasters.write_pgm16(os.path.join(out, "tracking_grid.pgm"), tracking_grid.values)
-    rasters.write_pgm16(os.path.join(out, "violation_grid.pgm"), combined)
-    rasters.write_heatmap_ppm(
-        os.path.join(out, "heatmap.ppm"), render_heatmap(tracking_grid.values, combined)
-    )
-    if config.crowd_map_enabled:
-        rasters.write_value_table(os.path.join(out, "crowd_grid.txt"), crowd.values)
-        rasters.write_value_table(os.path.join(out, "longterm_crowd.txt"), long_term.values)
-        rasters.write_pgm16(os.path.join(out, "crowd_grid.pgm"), crowd.values)
-        rasters.write_pgm16(os.path.join(out, "longterm_crowd.pgm"), long_term.values)
+def _write_rasters(out: str, tables: dict[str, np.ndarray]) -> list[str]:
+    """Write `<name>.pgm` per grid, then the tracking and violation heatmap; return the paths."""
+    written = []
+    for name, values in tables.items():
+        written.append(os.path.join(out, f"{name}.pgm"))
+        rasters.write_pgm16(written[-1], values)
+    written.append(os.path.join(out, "heatmap.ppm"))
+    heatmap = render_heatmap(tables["tracking_grid"], tables["violation_grid"])
+    rasters.write_heatmap_ppm(written[-1], heatmap)
+    return written
 
 
 def render_from_tables(tables_dir: str, out_dir: str) -> list[str]:
@@ -304,17 +298,4 @@ def render_from_tables(tables_dir: str, out_dir: str) -> list[str]:
             f"{paths['violation_grid']}: shape {S.shape} differs from tracking_grid.txt {G.shape}"
         )
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def _emit(name: str, writer, *args) -> None:
-        path = os.path.join(out_dir, name)
-        writer(path, *args)
-        written.append(path)
-
-    _emit("tracking_grid.pgm", rasters.write_pgm16, G)
-    _emit("violation_grid.pgm", rasters.write_pgm16, S)
-    _emit("heatmap.ppm", rasters.write_heatmap_ppm, render_heatmap(G, S))
-    for name in names[2:]:
-        if name in tables:
-            _emit(f"{name}.pgm", rasters.write_pgm16, tables[name])
-    return written
+    return _write_rasters(out_dir, tables)

@@ -1,11 +1,11 @@
 """Spatio-temporal risk accumulation on 2-D grids.
 
 Every person stamps a small cross-shaped kernel (center 2, edge neighbors
-1, corners 0) at their grid cell.  Three accumulators build on that:
-a monotone tracking grid, a 3-layer violation grid with per-layer
-coefficients, and a decaying crowd grid for ventilated scenes with its
-long-term moving average.  A frame's stamps on a grid are one `np.add.at`,
-adding in the order of one `stamp_kernel` call per person.
+1, corners 0) at their grid cell.  Three accumulators build on that: a
+monotone tracking grid G, a violation grid whose red and couple layers
+combine with G as presence, and a decaying crowd grid for ventilated
+scenes with its long-term moving average.  A frame's stamps on a grid are
+one `np.add.at`, adding in the order of one `stamp_kernel` call per person.
 
 The crowd recurrences touch only live rows: rows some crowd stamp has
 reached, the kernel's +-1 rows included.  A row never stamped is 0.0 in the
@@ -113,10 +113,11 @@ def accumulate_tracking(grid: RiskGrid, pos: FramePositions) -> RiskGrid:
 
 @dataclass
 class ViolationGrid:
-    """Three stacked accumulators: red breaches, tracked presence, couples.
+    """Two stacked accumulators: red breaches R and couples Y.
 
-    The combined scalar field is alpha*R + beta*T + delta*Y; the
-    coefficients weight how much each factor spreads contamination.
+    The combined scalar field is alpha*R + beta*T + delta*Y, with the
+    tracking grid as tracked presence T; the coefficients weight how much
+    each factor spreads contamination.
     """
 
     width: int
@@ -126,20 +127,19 @@ class ViolationGrid:
     delta: float = 0.5
     cell_scale: float = 1.0
     layer_r: RiskGrid = field(default=None)  # type: ignore[assignment]
-    layer_t: RiskGrid = field(default=None)  # type: ignore[assignment]
     layer_y: RiskGrid = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if min(self.alpha, self.beta, self.delta) < 0:
             raise ValueError("risk coefficients must be non-negative")
-        for name in ("layer_r", "layer_t", "layer_y"):
+        for name in ("layer_r", "layer_y"):
             if getattr(self, name) is None:
                 setattr(self, name, RiskGrid(self.width, self.height, self.cell_scale))
 
-    def combined(self) -> np.ndarray:
+    def combined(self, presence: np.ndarray) -> np.ndarray:
         return (
             self.alpha * self.layer_r.values
-            + self.beta * self.layer_t.values
+            + self.beta * presence
             + self.delta * self.layer_y.values
         )
 
@@ -147,12 +147,11 @@ class ViolationGrid:
 def accumulate_violations(
     vg: ViolationGrid, labels: dict[int, ZoneLabel], pos: FramePositions
 ) -> ViolationGrid:
-    """Stamp red people on layer R, everyone on layer T, yellow on layer Y."""
+    """Stamp red people on layer R and yellow people on layer Y."""
     zones = [labels.get(tid) for tid in pos.ids]
     red = np.array([z is ZoneLabel.HIGH_RISK for z in zones], dtype=bool)
     yellow = np.array([z is ZoneLabel.POTENTIALLY_RISKY for z in zones], dtype=bool)
     _stamp_positions(vg.layer_r, pos.xy[red])
-    _stamp_positions(vg.layer_t, pos.xy)
     _stamp_positions(vg.layer_y, pos.xy[yellow])
     return vg
 

@@ -128,6 +128,13 @@ class TestCalibrate:
         points.write_text("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n")
         assert main(["calibrate", "--points", str(points)]) == 1
 
+    @pytest.mark.parametrize("field", ["abc", "nan", "inf"])
+    def test_bad_field_error_names_file_and_line(self, field, tmp_path, capsys):
+        points = tmp_path / "pts.txt"
+        points.write_text(f"0 0 0 0\n# comment\n1 0 {field} 0\n1 1 1 1\n0 1 0 1\n")
+        assert main(["calibrate", "--points", str(points)]) == 1
+        assert f"error: {points}:3: " in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_2(self):

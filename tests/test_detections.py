@@ -126,12 +126,19 @@ class TestJsonlParser:
         assert out.accepted == 1
         assert out.rejected == 1
 
-    @pytest.mark.parametrize("frame", ["Infinity", "NaN", "1e400"])
+    # a frame that is not a whole number is an error, not truncated to one
+    @pytest.mark.parametrize("frame", ["Infinity", "NaN", "1e400", "1.5", "2.9", "true", "false"])
     def test_non_finite_frame_reports_line_number(self, frame):
         line = f'{{"frame": {frame}, "x": 0, "y": 0, "w": 4, "h": 8, "conf": 0.5}}'
         with pytest.raises(DetectionParseError) as exc:
             parse_jsonl_detections(["", line])
         assert exc.value.line_no == 2
+
+    def test_integral_float_frame_accepted(self):
+        line = '{"frame": 2.0, "x": 0, "y": 0, "w": 4, "h": 8, "conf": 0.5}'
+        out = parse_jsonl_detections([line])
+        assert [f for f, _ in out.frames] == [2]
+        assert type(out.frames[0][0]) is int
 
     def test_missing_key_raises(self):
         with pytest.raises(DetectionParseError) as exc:

@@ -6,7 +6,9 @@ that means to alter an artifact re-pins it here and says which bits moved
 and why.
 
 Runs:
-- golden: `data/synthetic_300.det` with `data/synthetic.cfg`;
+- golden: `data/synthetic_300.det` with `data/synthetic.cfg`, its five
+  rasters pinned too: `analyze` and `heatmap` render through one writer, so
+  comparing the two cannot see a change that moves both;
 - dense: `crowd_stream_lines(1000, lanes=20, seed=12)` with
   `scene_config(grid=640)`, the first 1,000 frames of the acceptance stream;
 - sparse: `sparse_gap_walkers()` over 180 frames with `scene_config(grid=512)`,
@@ -47,6 +49,11 @@ PINS = {
         "violation_grid.txt": "68176c74301f0b2ec285855c608ae076e0bc89fb001f8b58713b6fdea7c5cce8",
         "crowd_grid.txt": "df877b32eadac1710b35c5cff91070bd9fe2eaeeb29a6db7053bbbfce66ffa10",
         "longterm_crowd.txt": "ac40d55046ae50abea744a11983ac57bd91472169f7d05772f5e6c4051ea7e7d",
+        "tracking_grid.pgm": "1dbc9353ac0d17e45d31bc1b01277583ce0007d234fd95a15ec4767bc44b3573",
+        "violation_grid.pgm": "56c1eec0006b612997df5b134f930955421f1178f1036b41c2bbfb08e3ca7a20",
+        "heatmap.ppm": "6cce11bc2e0b668a34ae7e458c091a2637e57167824eff12f38d895b0ceef8bf",
+        "crowd_grid.pgm": "a72b8b24310d39cefe67c82d3db47e1c898b6170afb6d1b81ed5aadcdac42f5b",
+        "longterm_crowd.pgm": "10d86e1c82696065b3d3ea8b89b459d8afae37b4ca2fdc60d6aaddaf0868ab1f",
     },
     "dense": {
         "tracks.txt": "57ae9b77009768a2742ca582dd71e849aef9ff898eec1af32f729cd050f3e928",

@@ -257,6 +257,27 @@ class TestGridsMatchDirectAccumulation:
         assert summary.dropped_stamps == 0
         assert grid.sum() == 6 * summary.person_frames
 
+    @pytest.mark.parametrize("crowd", [True, False])
+    def test_dropped_stamps_count_every_layer(self, crowd, tmp_path):
+        """Everyone off a 4x4 grid: each grid layer a stamp misses counts once."""
+        cfg_path = tmp_path / "small.cfg"
+        with open(GOLDEN_CFG) as fh:
+            cfg_path.write_text(fh.read().replace("= 640", "= 4"))
+        config = load_config(str(cfg_path), env={})
+        assert (config.risk.grid_width, config.risk.grid_height) == (4, 4)
+        config.crowd_map_enabled = crowd
+        summary = run_pipeline(config, parse_mot_detections(GOLDEN_DET),
+                               out_dir=str(tmp_path / "out"))
+        assert summary.red_person_frames > 0 and summary.yellow_pair_frames > 0
+        # tracking grid, presence and (with the crowd map) crowd grid: everyone;
+        # red layer: red people; couple layer: both people of each yellow pair
+        people = 3 if crowd else 2
+        assert summary.dropped_stamps == (
+            people * summary.person_frames
+            + summary.red_person_frames
+            + 2 * summary.yellow_pair_frames
+        )
+
     def test_violation_grid_composition(self, config, tmp_path):
         out = str(tmp_path / "out")
         summary = run_pipeline(config, parse_mot_detections(GOLDEN_DET), out_dir=out)

@@ -114,15 +114,22 @@ class TestAccumulateViolations:
     def test_all_green_only_presence_layer(self):
         vg = ViolationGrid(16, 16)
         labels = {0: ZoneLabel.SAFE, 1: ZoneLabel.SAFE}
-        accumulate_violations(vg, labels, positions([(4, 4), (10, 10)]))
-        assert vg.layer_t.values.sum() == 12
+        pos = positions([(4, 4), (10, 10)])
+        presence = RiskGrid(16, 16)
+        accumulate_tracking(presence, pos)
+        accumulate_violations(vg, labels, pos)
+        assert presence.values.sum() == 12
         assert vg.layer_r.values.sum() == 0
         assert vg.layer_y.values.sum() == 0
+        assert np.array_equal(vg.combined(presence.values), vg.beta * presence.values)
 
     def test_red_person_with_unit_alpha(self):
         vg = ViolationGrid(16, 16, alpha=1.0, beta=0.0, delta=0.0)
-        accumulate_violations(vg, {0: ZoneLabel.HIGH_RISK}, positions([(8, 8)]))
-        combined = vg.combined()
+        pos = positions([(8, 8)])
+        presence = RiskGrid(16, 16)
+        accumulate_tracking(presence, pos)
+        accumulate_violations(vg, {0: ZoneLabel.HIGH_RISK}, pos)
+        combined = vg.combined(presence.values)
         expected = RiskGrid(16, 16)
         stamp_kernel(expected, (8, 8))
         assert np.array_equal(combined, expected.values)
@@ -131,6 +138,8 @@ class TestAccumulateViolations:
         vg = ViolationGrid(32, 32, alpha=1.0, beta=0.1, delta=0.5)
         labels = {0: ZoneLabel.HIGH_RISK, 1: ZoneLabel.POTENTIALLY_RISKY, 2: ZoneLabel.SAFE}
         pos = positions([(5, 5), (15, 15), (25, 25)])
+        presence = RiskGrid(32, 32)
+        accumulate_tracking(presence, pos)
         accumulate_violations(vg, labels, pos)
         # independent per-layer recomputation
         red, tracked, yellow = RiskGrid(32, 32), RiskGrid(32, 32), RiskGrid(32, 32)
@@ -139,7 +148,7 @@ class TestAccumulateViolations:
             stamp_kernel(tracked, c)
         stamp_kernel(yellow, (15, 15))
         expected = 1.0 * red.values + 0.1 * tracked.values + 0.5 * yellow.values
-        assert np.allclose(vg.combined(), expected, atol=1e-12)
+        assert np.allclose(vg.combined(presence.values), expected, atol=1e-12)
 
 
 class TestCrowdGrid:
@@ -229,10 +238,9 @@ class TestStampOracle:
             labels = {tid: zones[int(rng.integers(0, 3))] for tid in pos.ids}
             accumulate_violations(vg, labels, pos)
             stamp_loop(ref.layer_r, pos, {t for t, z in labels.items() if z is ZoneLabel.HIGH_RISK})
-            stamp_loop(ref.layer_t, pos)
             stamp_loop(ref.layer_y, pos,
                        {t for t, z in labels.items() if z is ZoneLabel.POTENTIALLY_RISKY})
-            for name in ("layer_r", "layer_t", "layer_y"):
+            for name in ("layer_r", "layer_y"):
                 got, want = getattr(vg, name), getattr(ref, name)
                 assert np.array_equal(got.values, want.values), name
                 assert got.dropped == want.dropped, name
