@@ -5,16 +5,17 @@ other; these pins also catch a refactor that changes behaviour.  A change
 that means to alter an artifact re-pins it here and says which bits moved
 and why.
 
+Every run pins its five rasters too: `analyze` and `heatmap` render through
+one writer, so comparing the two cannot see a change that moves both.
+
 Runs:
-- golden: `data/synthetic_300.det` with `data/synthetic.cfg`, its five
-  rasters pinned too: `analyze` and `heatmap` render through one writer, so
-  comparing the two cannot see a change that moves both;
+- golden: `data/synthetic_300.det` with `data/synthetic.cfg`;
 - dense: `crowd_stream_lines(1000, lanes=20, seed=12)` with
   `scene_config(grid=640)`, the first 1,000 frames of the acceptance stream;
 - sparse: `sparse_gap_walkers()` over 180 frames with `scene_config(grid=512)`,
   two bursts of a few people with 60 empty frames between them, so the
-  tables are mostly all-zero rows around a few live ones (only the four
-  value tables are pinned).
+  grids are mostly all-zero rows around a few live ones (its stats, tracks
+  and summary are not pinned).
 """
 
 from __future__ import annotations
@@ -63,12 +64,22 @@ PINS = {
         "violation_grid.txt": "a181d78d163a7004fc6fe155fb3d17d726748c5460e943e0c6766fb8cf0ce7ac",
         "crowd_grid.txt": "21f10b1d98cc00a51fd601867dcfe43482f5ea295cc0f5f3816b5ee88592de72",
         "longterm_crowd.txt": "98952fcaad74cde2131af8764900d6d937d31d64e0d9f2c72363f48d5befee1d",
+        "tracking_grid.pgm": "ca3e6b1c5f54acabfba69473a78833859941c866058f95cf8353b55f546222f8",
+        "violation_grid.pgm": "ca3e6b1c5f54acabfba69473a78833859941c866058f95cf8353b55f546222f8",
+        "heatmap.ppm": "00715ac4f8548ee76a539b5199ebc791e04094c7403e96c19497b3d0399e37fc",
+        "crowd_grid.pgm": "62e23a17cec64e13462858bea4af86d9412ec84e8440cf5f986a9e3c7722f1fe",
+        "longterm_crowd.pgm": "0ab002d3ae1c3f654332a5ea877cb8c8d7cbbf022c126813d6939b7fad51e8ca",
     },
     "sparse": {
         "tracking_grid.txt": "1b527ee51d12a9a4c77d00273fb9a7d63c85e53253dc2e2e8710fb90d05fb713",
         "violation_grid.txt": "c367c8d8c4611a8b7b47373fc4db67595053a21aec698a01b94073e9a457568d",
         "crowd_grid.txt": "0f73161d93ff453329eb2e17b4765737cf51adbd4c982f6e7e59e0de4589ce8e",
         "longterm_crowd.txt": "9763fa1586ad22a20f61e38734709b7c4e0176f09ee264825de53b4bb6665e6b",
+        "tracking_grid.pgm": "b06d30bca8d5f7925c9e1c4fe73db0897f2ae2e7cd1c693cff64fac174ab92e5",
+        "violation_grid.pgm": "90683976a5693df5b7561be29a223a717fa49c4e4e506e68ed356ce87f951dee",
+        "heatmap.ppm": "7a338ab9d1c1b30a77ca2fd1a5a9d2fd378e60f930f4dff57b928075b073c2a2",
+        "crowd_grid.pgm": "d4118fbe951ac00381dde8c33125b221be6bab05e109cad392101e4518b80989",
+        "longterm_crowd.pgm": "ff99bb7dd60d60866bf1222656aa29adf92b29a761b92066ddb397e347e5c0ee",
     },
 }
 
