@@ -47,7 +47,6 @@ from .risk import (
     accumulate_violations,
     crowd_step,
     normalize,
-    render_heatmap,
     stamp_kernel,
 )
 from .tracking import (

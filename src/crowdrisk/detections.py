@@ -112,7 +112,11 @@ _jsonl_fields = itemgetter(*_JSONL_KEYS)
 
 
 def parse_jsonl_detections(source: str | IO[str] | Iterable[str]) -> IngestResult:
-    """Parse one JSON object per line: {frame, x, y, w, h, conf}, (x, y) the box center."""
+    """Parse one JSON object per line: {frame, x, y, w, h, conf}, (x, y) the box center.
+
+    Every field must be a JSON number, and `frame` an integral one; a string,
+    boolean or null there is a DetectionParseError naming the line.
+    """
     frames: list[int] = []
     values = array.array("d")
     for line_no, raw in enumerate(_lines(source), start=1):
@@ -130,13 +134,17 @@ def parse_jsonl_detections(source: str | IO[str] | Iterable[str]) -> IngestResul
         except KeyError:
             missing = [k for k in _JSONL_KEYS if k not in obj]
             raise DetectionParseError(line_no, f"missing keys {missing}") from None
-        if type(frame) is bool or (type(frame) is float and not frame.is_integer()):
+        if type(frame) is not int and not (type(frame) is float and frame.is_integer()):
             raise DetectionParseError(line_no, f"frame must be an integer, got {frame!r}")
+        frame = int(frame)
         try:
-            frame = int(frame)
-            values.extend(map(float, box))
-        except (TypeError, ValueError, OverflowError):
+            values.extend(box)  # takes int and float, raises on str, null, list, object
+        except (TypeError, OverflowError):
             raise DetectionParseError(line_no, "non-numeric value") from None
+        # JSON true/false, which extend takes as 1.0/0.0; the text test keeps
+        # the check off the common line's path
+        if ("true" in line or "false" in line) and bool in map(type, box):
+            raise DetectionParseError(line_no, "non-numeric value")
         if frame < 1:
             raise DetectionParseError(line_no, f"frame index must be >= 1, got {frame}")
         frames.append(frame)

@@ -34,7 +34,6 @@ from .risk import (
     accumulate_violations,
     advance_empty,
     crowd_step,
-    render_heatmap,
 )
 from .tracking import Tracker, format_mot_line
 
@@ -269,8 +268,7 @@ def _write_rasters(out: str, tables: dict[str, np.ndarray]) -> list[str]:
         written.append(os.path.join(out, f"{name}.pgm"))
         rasters.write_pgm16(written[-1], values)
     written.append(os.path.join(out, "heatmap.ppm"))
-    heatmap = render_heatmap(tables["tracking_grid"], tables["violation_grid"])
-    rasters.write_heatmap_ppm(written[-1], heatmap)
+    rasters.write_heatmap_ppm(written[-1], tables["tracking_grid"], tables["violation_grid"])
     return written
 
 

@@ -4,17 +4,89 @@ Grayscale goes out as binary PGM (P5) with 16-bit big-endian samples,
 color as binary PPM (P6) with 8-bit samples.  Value tables are plain
 whitespace-separated text with a `# rows cols` header so external tools
 can re-plot the raw grids: one line per grid row, each cell as its own
-`.17g` text (round-trip exact, signed zero included).  The risk grids are
-mostly all-zero rows, so writing and reading a table cost what its
-non-zero rows cost: an all-zero row is one cached `0 0 ... 0` line, and only
-the other rows are formatted or parsed.
+`.17g` text (round-trip exact, signed zero included).
+
+The risk grids are mostly +0.0, with a few live cells in a few live rows,
+so every writer costs what the live cells cost.  `_live_cells` finds them.
+A raster maps only them, and one 0.0 standing for every other cell, through
+its normalization and colour conversion; its rows go out in blocks copied
+from one cached block of background rows, with the live cells' samples put
+in.  A table formats only the live cells: an all-zero row is one cached
+`0 0 ... 0` line, and a live row splices its cell texts into that line.  No
+writer builds an array or a text the size of the grid.  Reading a table
+costs what its non-zero rows cost: only the rows that differ from the
+all-zero line are parsed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .risk import normalize
+from .risk import normalize, row_runs
+
+
+def _live_cells(*grids: np.ndarray) -> np.ndarray:
+    """The row-major flat indices of the cells where some grid is not +0.0.
+
+    The grids are float64 and of one 2-D shape; an index divided by the
+    width gives the cell's row and, as remainder, its column within that
+    row.  +0.0 is the only value whose bits are all zero, so -0.0 and NaN
+    cells are live.  Only the runs of rows that hold a live cell are searched
+    for their columns.
+    """
+    width = grids[0].shape[1]
+    found = [np.zeros(0, dtype=np.intp)]
+    for grid in grids:
+        bits = np.ascontiguousarray(grid).view(np.uint64)
+        found += [np.flatnonzero(bits[start:stop]) + start * width
+                  for start, stop in row_runs(bits.any(axis=1))]
+    # sorted, and a cell live in two grids once (np.union1d would do, but its
+    # first call on integers imports numpy.ma, ~20 ms in every process)
+    live = np.sort(np.concatenate(found))
+    return live[np.diff(live, prepend=-1) != 0]
+
+
+def _gather(values: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The live cells in row-major order, then one 0.0 for all the other cells, if any."""
+    return np.concatenate([values.take(live), np.zeros(min(values.size - len(live), 1))])
+
+
+# Background rows go out in writes of at most this many bytes, so their
+# cached block and its copies stay below glibc's initial mmap threshold
+# (128 KiB): freeing a multi-MB temporary would raise that threshold, later
+# multi-MB arrays would then stay resident on the heap after they are freed,
+# and the run's peak memory would grow by an amount that follows where the
+# live rows fall.
+_BLOCK_BYTES = 64 * 1024
+
+
+def _write_raster(path: str, magic: str, maxval: int, shape: tuple[int, int],
+                  live: np.ndarray, samples: np.ndarray) -> None:
+    """Write a binary PGM/PPM from the samples of the `live` cells, one per cell.
+
+    Every other cell gets the last sample, the one `_gather` appended for
+    them (when every cell is live, it is overwritten everywhere).  The rows
+    go out a block at a time: a block without live cells is a slice of one
+    cached block of background rows, a block with live cells is a copy of
+    that slice with their samples put in.
+    """
+    rows, cols = shape
+    blank = np.empty((cols,) + samples.shape[1:], dtype=samples.dtype)
+    blank[...] = samples[-1]
+    per_block = max(1, _BLOCK_BYTES // blank.nbytes)
+    block = np.broadcast_to(blank, (per_block,) + blank.shape).copy()
+    starts = range(0, rows, per_block)
+    # live[bounds[i]:bounds[i + 1]] are the live cells of the i-th block
+    bounds = np.searchsorted(live, [start * cols for start in starts] + [rows * cols]).tolist()
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{cols} {rows}\n{maxval}\n".encode("ascii"))
+        for start, lo, hi in zip(starts, bounds, bounds[1:]):
+            out = block[:min(per_block, rows - start)]
+            if hi > lo:
+                out = out.copy()
+                cells = out.reshape((-1,) + samples.shape[1:])
+                cells[live[lo:hi] - start * cols] = samples[lo:hi]
+            fh.write(out)
 
 
 def write_pgm16(path: str, values: np.ndarray) -> None:
@@ -25,28 +97,15 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"raster input must be 2-D, got shape {values.shape}")
-    scaled = normalize(values, 0.0, 65535.0)
+    live = _live_cells(values)
+    scaled = normalize(_gather(values, live), 0.0, 65535.0)
     samples = np.rint(scaled, out=scaled).astype(">u2")
-    h, w = samples.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(samples.tobytes())
+    _write_raster(path, "P5", 65535, values.shape, live, samples)
 
 
-def write_ppm(path: str, rgb: np.ndarray) -> None:
-    """Write an (h, w, 3) uint8 array as a binary color raster."""
-    rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
-        raise ValueError("color raster input must be (h, w, 3) uint8")
-    h, w, _ = rgb.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
-
-
-# Cells converted per block: 128 rows of a 2048-wide grid.  The float
-# temporaries of one block stay a few MB however large the grid is.
-_BLOCK_CELLS = 128 * 2048
+# Cells converted per block: each float temporary of a block is 64 KiB,
+# below glibc's initial mmap threshold, however many cells are live.
+_BLOCK_CELLS = 8192
 
 
 def _hue_block_to_rgb(hue_deg: np.ndarray, out: np.ndarray) -> None:
@@ -80,23 +139,28 @@ def hue_to_rgb(hue_deg: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return rgb.reshape(hue.shape + (3,))
 
 
-def write_heatmap_ppm(path: str, hue: np.ndarray) -> None:
-    """Write a risk hue raster (halved hue scale: 0 red .. 120 blue) as RGB."""
-    write_ppm(path, hue_to_rgb(hue, scale=2.0))
+def write_heatmap_ppm(path: str, G: np.ndarray, S: np.ndarray) -> None:
+    """Write the risk heatmap of tracking grid G and combined violation grid S.
+
+    The risk field max(G, 2*S) is normalized into [0, 120] and its
+    complement is the hue on a halved scale: 120 (blue) at zero risk, 0
+    (red) at the peak.
+    """
+    G = np.asarray(G, dtype=float)
+    S = np.asarray(S, dtype=float)
+    if G.shape != S.shape:
+        raise ValueError(f"grid shapes differ: {G.shape} vs {S.shape}")
+    if G.ndim != 2:
+        raise ValueError(f"raster input must be 2-D, got shape {G.shape}")
+    live = _live_cells(G, S)
+    risk = normalize(np.maximum(_gather(G, live), 2.0 * _gather(S, live)), 0.0, 120.0)
+    hue = np.subtract(120.0, risk, out=risk)
+    _write_raster(path, "P6", 255, G.shape, live, hue_to_rgb(hue, scale=2.0))
 
 
 def _zero_row(cols: int) -> str:
     """The text of an all-zero table row: `0 0 ... 0` and a newline."""
     return " ".join("0" * cols) + "\n"
-
-
-# Runs of zero rows go out in writes of at most this many bytes.  Every
-# temporary of the writer stays below glibc's initial mmap threshold
-# (128 KiB): freeing a multi-MB temporary would raise that threshold, the
-# rasters' later multi-MB arrays would then stay resident on the heap after
-# they are freed, and the run's peak memory would grow by an amount that
-# follows where the live rows fall.
-_ZERO_BLOCK_BYTES = 64 * 1024
 
 
 def _write_zero_rows(fh, block: memoryview, width: int, n: int) -> None:
@@ -111,39 +175,36 @@ def write_value_table(path: str, values: np.ndarray) -> None:
     """Dump a matrix as text rows, header `# rows cols`, round-trip exact.
 
     Every cell is written as its own `.17g` text, `-0` included.  Only the
-    rows and cells that are not +0.0 are formatted: an all-zero row is one
-    cached string, and a live row splices its cell texts between slices of
-    that string, so the cost follows the non-zero cells, not the grid.
+    cells that are not +0.0 are formatted: an all-zero row is one cached
+    string, and a live row splices its cell texts between slices of that
+    string, so the cost follows the non-zero cells, not the grid.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"value table input must be 2-D, got shape {values.shape}")
     rows, cols = values.shape
     zero_row = _zero_row(cols).encode("ascii")
-    zero_block = memoryview(zero_row * max(1, _ZERO_BLOCK_BYTES // len(zero_row)))
-    # +0.0 is the only value whose bits are all zero; -0.0 is written as `-0`
-    bits = np.ascontiguousarray(values).view(np.uint64)
-    live_rows = np.flatnonzero(bits.any(axis=1)).tolist()
-    # the live cells row by row: small arrays, never a copy of the live rows
-    live_cols = [np.flatnonzero(bits[row]) for row in live_rows]
-    cells = [values[row, c] for row, c in zip(live_rows, live_cols)]
-    uniq, inverse = np.unique(np.concatenate([np.zeros(0), *cells]), return_inverse=True)
+    zero_block = memoryview(zero_row * max(1, _BLOCK_BYTES // len(zero_row)))
+    live = _live_cells(values)
+    uniq, inverse = np.unique(values.take(live), return_inverse=True)
     texts = [f"{x:.17g}".encode("ascii") for x in uniq.tolist()]
+    row_of, col_of = np.divmod(live, max(cols, 1))  # no live cell without columns
+    # live cells first[i]:first[i + 1] are those of the i-th live row
+    first = np.flatnonzero(np.diff(row_of, prepend=-1)).tolist()
+    live_rows = row_of[first].tolist()
     with open(path, "wb") as fh:
         fh.write(f"# {rows} {cols}\n".encode("ascii"))
         next_row = 0
-        first = 0
-        for row, c in zip(live_rows, live_cols):
+        for row, a, b in zip(live_rows, first, first[1:] + [len(live)]):
             _write_zero_rows(fh, zero_block, len(zero_row), row - next_row)
             # each cell's `0` sits at byte 2 * col of the zero row
             parts = []
             at = 0
-            for col, k in zip(c.tolist(), inverse[first:first + len(c)].tolist()):
+            for col, k in zip(col_of[a:b].tolist(), inverse[a:b].tolist()):
                 parts += (zero_row[at:2 * col], texts[k])
                 at = 2 * col + 1
             parts.append(zero_row[at:])
             fh.write(b"".join(parts))
-            first += len(c)
             next_row = row + 1
         _write_zero_rows(fh, zero_block, len(zero_row), rows - next_row)
 

@@ -12,7 +12,8 @@ reached, the kernel's +-1 rows included.  A row never stamped is 0.0 in the
 crowd grid and in its average, and `0*gamma` and `s*0 + (1-s)*0` are exactly
 0, so skipping it changes no bit.  A stretch of k frames with nobody in it
 can also be advanced in one closed-form step (`advance_empty`), which agrees
-with k single steps to rounding.
+with k single steps to rounding.  The combined violation grid is summed
+only on the rows where one of its layers is not +0.0, for the same reason.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def grid_zeros(height: int, width: int) -> np.ndarray:
     buf = mmap.mmap(-1, height * width * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(buf, dtype=np.float64).reshape(height, width)
+
+
+def row_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, stop) runs of True in a 1-D boolean mask."""
+    # edges of the runs: where the mask, padded with False, flips
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return [(start, stop) for start, stop in edges.reshape(-1, 2).tolist()]
 
 
 @dataclass
@@ -111,6 +119,12 @@ def accumulate_tracking(grid: RiskGrid, pos: FramePositions) -> RiskGrid:
     return grid
 
 
+# Cells per block of the combined sum: its float temporaries stay below
+# glibc's initial mmap threshold (128 KiB), so freeing them leaves the
+# threshold, and the run's peak memory, where they found it.
+_SUM_BLOCK_CELLS = 8192
+
+
 @dataclass
 class ViolationGrid:
     """Two stacked accumulators: red breaches R and couples Y.
@@ -130,18 +144,30 @@ class ViolationGrid:
     layer_y: RiskGrid = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if min(self.alpha, self.beta, self.delta) < 0:
-            raise ValueError("risk coefficients must be non-negative")
+        if not all(c >= 0 and math.isfinite(c) for c in (self.alpha, self.beta, self.delta)):
+            raise ValueError("risk coefficients must be finite and non-negative")
         for name in ("layer_r", "layer_y"):
             if getattr(self, name) is None:
                 setattr(self, name, RiskGrid(self.width, self.height, self.cell_scale))
 
     def combined(self, presence: np.ndarray) -> np.ndarray:
-        return (
-            self.alpha * self.layer_r.values
-            + self.beta * presence
-            + self.delta * self.layer_y.values
-        )
+        """alpha*R + beta*presence + delta*Y, summed only on blocks of rows where a layer is live.
+
+        A live row holds a cell that is not +0.0.  Every other row is +0.0 in
+        all three layers, and so in the sum, since the coefficients are
+        finite and non-negative.
+        """
+        r, y = self.layer_r.values, self.layer_y.values
+        out = grid_zeros(self.height, self.width)
+        live = np.zeros(self.height, dtype=bool)
+        for layer in (r, presence, y):
+            live |= np.ascontiguousarray(layer).view(np.uint64).any(axis=1)
+        step = max(1, _SUM_BLOCK_CELLS // self.width)
+        for start in range(0, self.height, step):
+            rows = slice(start, start + step)
+            if live[rows].any():
+                out[rows] = self.alpha * r[rows] + self.beta * presence[rows] + self.delta * y[rows]
+        return out
 
 
 def accumulate_violations(
@@ -196,9 +222,7 @@ class CrowdGrid:
         if rows.size == 0 or self.live_rows[rows].all():
             return
         self.live_rows[rows] = True
-        # edges of the runs: where the mask, padded with False, flips
-        edges = np.flatnonzero(np.diff(self.live_rows, prepend=False, append=False))
-        self.live_runs = [(start, stop) for start, stop in edges.reshape(-1, 2).tolist()]
+        self.live_runs = row_runs(self.live_rows)
 
 
 def crowd_step(cg: CrowdGrid, pos: FramePositions) -> CrowdGrid:
@@ -305,17 +329,3 @@ def normalize(X: np.ndarray, l: float, u: float) -> np.ndarray:
     out *= u - l
     out += l
     return out
-
-
-def render_heatmap(G: np.ndarray, S_combined: np.ndarray) -> np.ndarray:
-    """Hue raster of combined risk: 120 (blue) at zero risk, 0 (red) at peak.
-
-    The risk field is max(G, 2*S) normalized into [0, 120]; hue is its
-    complement so hot cells render red.
-    """
-    G = np.asarray(G, dtype=float)
-    S_combined = np.asarray(S_combined, dtype=float)
-    if G.shape != S_combined.shape:
-        raise ValueError(f"grid shapes differ: {G.shape} vs {S_combined.shape}")
-    risk = normalize(np.maximum(G, 2.0 * S_combined), 0.0, 120.0)
-    return np.subtract(120.0, risk, out=risk)

@@ -134,6 +134,16 @@ class TestJsonlParser:
             parse_jsonl_detections(["", line])
         assert exc.value.line_no == 2
 
+    # a quoted number or a JSON boolean is not a number in any field
+    @pytest.mark.parametrize("value", ['"3"', '"1"', '"NaN"', "true", "false"])
+    @pytest.mark.parametrize("key", ["frame", "x", "y", "w", "h", "conf"])
+    def test_string_or_boolean_field_reports_line_number(self, key, value):
+        fields = {"frame": 3, "x": 0, "y": 0, "w": 4, "h": 8, "conf": 0.5}
+        line = json.dumps(fields).replace(f'"{key}": {fields[key]}', f'"{key}": {value}')
+        with pytest.raises(DetectionParseError) as exc:
+            parse_jsonl_detections([json.dumps(fields), line])
+        assert exc.value.line_no == 2
+
     def test_integral_float_frame_accepted(self):
         line = '{"frame": 2.0, "x": 0, "y": 0, "w": 4, "h": 8, "conf": 0.5}'
         out = parse_jsonl_detections([line])

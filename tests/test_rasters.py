@@ -12,9 +12,17 @@ from crowdrisk.rasters import (
     read_value_table,
     write_heatmap_ppm,
     write_pgm16,
-    write_ppm,
     write_value_table,
 )
+
+
+def read_ppm(path: str) -> tuple[bytes, np.ndarray]:
+    """The header and the (h, w, 3) pixels of a binary PPM."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, body = data.split(b"255\n", 1)
+    w, h = map(int, header.split()[1:3])
+    return header + b"255\n", np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
 
 
 class TestPGM:
@@ -50,18 +58,19 @@ class TestPGM:
 
 class TestPPM:
     def test_header_and_payload(self, tmp_path):
-        rgb = np.zeros((2, 3, 3), dtype=np.uint8)
-        rgb[0, 0] = (255, 0, 0)
+        G = np.zeros((2, 3))
+        G[0, 0] = 1.0
         path = str(tmp_path / "c.ppm")
-        write_ppm(path, rgb)
-        with open(path, "rb") as fh:
-            data = fh.read()
-        assert data.startswith(b"P6\n3 2\n255\n")
-        assert data.split(b"255\n", 1)[1][:3] == b"\xff\x00\x00"
+        write_heatmap_ppm(path, G, np.zeros((2, 3)))
+        header, pixels = read_ppm(path)
+        assert header == b"P6\n3 2\n255\n"
+        assert pixels[0, 0].tolist() == [255, 0, 0]
+        assert pixels.reshape(-1, 3)[1:].tolist() == [[0, 0, 255]] * 5
 
-    def test_rejects_wrong_dtype(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_ppm(str(tmp_path / "x.ppm"), np.zeros((2, 2, 3)))
+    def test_rejects_grids_not_2d(self, tmp_path):
+        for shape in ((4,), (2, 2, 3), ()):
+            with pytest.raises(ValueError):
+                write_heatmap_ppm(str(tmp_path / "x.ppm"), np.ones(shape), np.ones(shape))
 
 
 class TestHueConversion:
@@ -72,14 +81,46 @@ class TestHueConversion:
         assert rgb[2].tolist() == [0, 0, 255]
 
     def test_heatmap_extremes(self, tmp_path):
-        hue = np.array([[0.0, 120.0]])
+        # risk 0 and the peak: hue 120 and 0 on the halved scale
         path = str(tmp_path / "h.ppm")
-        write_heatmap_ppm(path, hue)
-        with open(path, "rb") as fh:
-            body = fh.read().split(b"255\n", 1)[1]
-        pixels = np.frombuffer(body, dtype=np.uint8).reshape(1, 2, 3)
-        assert pixels[0, 0].tolist() == [255, 0, 0]  # zero hue: red
-        assert pixels[0, 1].tolist() == [0, 0, 255]  # 120 on the halved scale: blue
+        write_heatmap_ppm(path, np.array([[5.0, 0.0]]), np.zeros((1, 2)))
+        _, pixels = read_ppm(path)
+        assert pixels[0, 0].tolist() == [255, 0, 0]  # peak risk, zero hue: red
+        assert pixels[0, 1].tolist() == [0, 0, 255]  # zero risk, 120 halved: blue
+
+
+class TestHeatmap:
+    def test_max_of_grid_and_doubled_violations(self, tmp_path):
+        G = np.array([[3.0, 0.0, 4.0]])
+        S = np.array([[5.0, 0.0, 0.0]])
+        path = str(tmp_path / "m.ppm")
+        write_heatmap_ppm(path, G, S)
+        _, pixels = read_ppm(path)
+        # risk max(G, 2*S) is 10, 0, 4: hue 0, 120 and 72, which at twice
+        # the degrees is sector 2 with fraction 0.4; max(G, S) would give 24
+        assert pixels[0].tolist() == [[255, 0, 0], [0, 0, 255], [0, 255, 102]]
+
+    def test_all_zero_renders_uniform_blue(self, tmp_path):
+        path = str(tmp_path / "z.ppm")
+        write_heatmap_ppm(path, np.zeros((4, 4)), np.zeros((4, 4)))
+        _, pixels = read_ppm(path)
+        assert np.array_equal(pixels, np.broadcast_to([0, 0, 255], (4, 4, 3)))
+
+    def test_hottest_red_coldest_blue_random(self, tmp_path):
+        rng = np.random.default_rng(13)
+        path = str(tmp_path / "r.ppm")
+        for _ in range(50):
+            G = rng.random((6, 6)) * 10
+            S = rng.random((6, 6)) * 10
+            risk = np.maximum(G, 2 * S)
+            write_heatmap_ppm(path, G, S)
+            _, pixels = read_ppm(path)
+            assert pixels[np.unravel_index(risk.argmax(), risk.shape)].tolist() == [255, 0, 0]
+            assert pixels[np.unravel_index(risk.argmin(), risk.shape)].tolist() == [0, 0, 255]
+
+    def test_dimension_mismatch(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_heatmap_ppm(str(tmp_path / "d.ppm"), np.zeros((3, 3)), np.zeros((4, 4)))
 
 
 def reference_write_value_table(path: str, values: np.ndarray) -> None:
@@ -297,3 +338,209 @@ class TestHostileTables:
             fh.write(b"# 1 1\n\xff\n")
         with pytest.raises(ValueError, match="binary.txt"):
             read_value_table(path)
+
+
+# The raster writers before they went by live cells, kept verbatim (with
+# `reference_` names) as byte oracles: they normalize and colour every cell
+# of the grid.
+
+
+def reference_normalize(X: np.ndarray, l: float, u: float) -> np.ndarray:
+    """Affine rescale of X into [l, u]; a constant matrix maps to all l."""
+    if not u > l:
+        raise ValueError(f"need u > l, got l={l}, u={u}")
+    X = np.asarray(X, dtype=float)
+    lo = X.min()
+    hi = X.max()
+    if hi == lo:
+        return np.full_like(X, float(l))
+    # ratio first: exactly 0 at the min and 1 at the max, so the output
+    # range hits [l, u] endpoint-exact; one output array, updated in place
+    out = np.subtract(X, lo)
+    out /= hi - lo
+    out *= u - l
+    out += l
+    return out
+
+
+def reference_write_pgm16(path: str, values: np.ndarray) -> None:
+    """Write a grid as a 16-bit grayscale raster, normalized to full range.
+
+    A constant grid (including all-zero) writes all-zero samples.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"raster input must be 2-D, got shape {values.shape}")
+    scaled = reference_normalize(values, 0.0, 65535.0)
+    samples = np.rint(scaled, out=scaled).astype(">u2")
+    h, w = samples.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
+        fh.write(samples.tobytes())
+
+
+def reference_write_ppm(path: str, rgb: np.ndarray) -> None:
+    """Write an (h, w, 3) uint8 array as a binary color raster."""
+    rgb = np.asarray(rgb)
+    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
+        raise ValueError("color raster input must be (h, w, 3) uint8")
+    h, w, _ = rgb.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(rgb.tobytes())
+
+
+# Cells converted per block: 128 rows of a 2048-wide grid.  The float
+# temporaries of one block stay a few MB however large the grid is.
+_REFERENCE_BLOCK_CELLS = 128 * 2048
+
+
+def _reference_hue_block_to_rgb(hue_deg: np.ndarray, out: np.ndarray) -> None:
+    """Write the uint8 RGB of a 1-D block of hues (degrees) into out (n, 3)."""
+    h = hue_deg / 60.0
+    sector = np.floor(h).astype(int) % 6
+    frac = h - np.floor(h)
+    p = np.zeros_like(frac)
+    q = 1.0 - frac
+    t = frac
+    one = np.ones_like(frac)
+    # RGB channel values per 60-degree sector of the hue circle.
+    for channel, choices in enumerate(([one, q, p, p, t, one],
+                                       [t, one, one, q, p, p],
+                                       [p, p, t, one, one, q])):
+        out[:, channel] = np.rint(np.choose(sector, choices) * 255.0)
+
+
+def reference_hue_to_rgb(hue_deg: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Convert a hue raster to uint8 RGB at maximum saturation and value.
+
+    Hues are in degrees after multiplying by `scale`.  The raster is
+    converted in blocks into one preallocated (..., 3) array.
+    """
+    hue = np.asarray(hue_deg, dtype=float)
+    flat = hue.reshape(-1)
+    rgb = np.empty((flat.size, 3), dtype=np.uint8)
+    for start in range(0, flat.size, _REFERENCE_BLOCK_CELLS):
+        block = flat[start:start + _REFERENCE_BLOCK_CELLS]
+        _reference_hue_block_to_rgb(block * scale, rgb[start:start + len(block)])
+    return rgb.reshape(hue.shape + (3,))
+
+
+def reference_render_heatmap(G: np.ndarray, S_combined: np.ndarray) -> np.ndarray:
+    """Hue raster of combined risk: 120 (blue) at zero risk, 0 (red) at peak.
+
+    The risk field is max(G, 2*S) normalized into [0, 120]; hue is its
+    complement so hot cells render red.
+    """
+    G = np.asarray(G, dtype=float)
+    S_combined = np.asarray(S_combined, dtype=float)
+    if G.shape != S_combined.shape:
+        raise ValueError(f"grid shapes differ: {G.shape} vs {S_combined.shape}")
+    risk = reference_normalize(np.maximum(G, 2.0 * S_combined), 0.0, 120.0)
+    return np.subtract(120.0, risk, out=risk)
+
+
+def reference_write_heatmap_ppm(path: str, G: np.ndarray, S: np.ndarray) -> None:
+    """The heatmap as the pipeline wrote it: render, then the halved hue scale."""
+    reference_write_ppm(path, reference_hue_to_rgb(reference_render_heatmap(G, S), scale=2.0))
+
+
+def _raster_grids():
+    rng = np.random.default_rng(4096)
+    grids = dict(ORACLE_GRIDS)  # sparse, dense, specials, 1x1, empty shapes
+    grids["constant"] = np.full((5, 8), 7.25)
+    grids["single-live"] = np.zeros((9, 11))
+    grids["single-live"][4, 6] = 0.3
+    grids["negative"] = _sparse(rng, (12, 15), 20) * -1.0
+    grids["mixed-sign"] = _sparse(rng, (12, 15), 30) * rng.choice([-1.0, 1.0], size=(12, 15))
+    grids["neg-zero"] = np.zeros((6, 7))
+    grids["neg-zero"][[1, 1, 4], [0, 3, 6]] = (-0.0, 2.5, -0.0)
+    grids["all-neg-zero"] = np.full((3, 4), -0.0)
+    grids["neg-zero-and-negative"] = np.array([[-0.0, -1.0, 0.0], [0.0, 0.0, -0.0]])
+    grids["plus-inf"] = np.zeros((4, 5))
+    grids["plus-inf"][2, 1] = np.inf
+    grids["plus-inf-and-finite"] = grids["plus-inf"].copy()
+    grids["plus-inf-and-finite"][0, 4] = 3.0
+    grids["minus-inf"] = np.zeros((4, 5))
+    grids["minus-inf"][3, 3] = -np.inf
+    grids["nan"] = np.zeros((4, 5))
+    grids["nan"][1, 2] = np.nan
+    grids["all-nan"] = np.full((2, 3), np.nan)
+    grids["one-by-n"] = np.zeros((1, 9))
+    grids["one-by-n"][0, [2, 7]] = (1.0, 4.0)
+    grids["one-by-n-dense"] = rng.random((1, 9))
+    grids["n-by-one"] = np.zeros((9, 1))
+    grids["n-by-one"][[0, 5], 0] = (2.0, 0.5)
+    grids["uint8"] = np.array([[0, 3], [255, 0]], dtype=np.uint8)
+    grids["fortran-order"] = np.asfortranarray(_sparse(rng, (7, 13), 12))
+    grids["strided"] = _sparse(rng, (10, 26), 40)[::2, 1::3]
+    return grids
+
+
+RASTER_GRIDS = _raster_grids()
+# the heatmap's second grid: violations alone, presence alone, or both
+PARTNERS = {
+    "S-only": lambda g: (np.zeros(np.shape(g)), g),
+    "G-only": lambda g: (g, np.zeros(np.shape(g))),
+    "both": lambda g: (g, np.asarray(g, dtype=float)[::-1, ::-1] * 0.375),
+}
+
+
+def _outcome(write, path, *grids):
+    """The bytes a writer leaves, or the class of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            write(path, *grids)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class TestRasterOracles:
+    @pytest.mark.parametrize("name", sorted(RASTER_GRIDS))
+    def test_pgm_bytes_match_reference_writer(self, name, tmp_path):
+        values = RASTER_GRIDS[name]
+        want = _outcome(reference_write_pgm16, str(tmp_path / "want.pgm"), values)
+        got = _outcome(write_pgm16, str(tmp_path / "got.pgm"), values)
+        assert got == want
+
+    @pytest.mark.parametrize("partner", sorted(PARTNERS))
+    @pytest.mark.parametrize("name", sorted(RASTER_GRIDS))
+    def test_heatmap_bytes_match_reference_writer(self, name, partner, tmp_path):
+        G, S = PARTNERS[partner](RASTER_GRIDS[name])
+        want = _outcome(reference_write_heatmap_ppm, str(tmp_path / "want.ppm"), G, S)
+        got = _outcome(write_heatmap_ppm, str(tmp_path / "got.ppm"), G, S)
+        assert got == want
+
+    @pytest.mark.parametrize("G, S", [
+        (np.zeros(4), np.zeros(4)),
+        (np.zeros((2, 2, 3)), np.zeros((2, 2, 3))),
+        (np.zeros((3, 3)), np.zeros((3, 4))),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+    ])
+    def test_bad_input_raises_like_reference_writer(self, G, S, tmp_path):
+        want, got = str(tmp_path / "want"), str(tmp_path / "got")
+        raised = _outcome(reference_write_heatmap_ppm, want, G, S)
+        assert isinstance(raised, type)
+        assert _outcome(write_heatmap_ppm, got, G, S) is raised
+        assert _outcome(write_pgm16, got, G) == _outcome(reference_write_pgm16, want, G)
+
+    @pytest.mark.parametrize("kind", ["pgm", "ppm"])
+    def test_sparse_raster_memory_bounded(self, kind, tmp_path):
+        values = np.zeros((2048, 2048))
+        values[1000, 7] = 1.5
+        zeros = np.zeros_like(values)
+        path = str(tmp_path / f"big.{kind}")
+        tracemalloc.start()
+        try:
+            if kind == "pgm":
+                write_pgm16(path, values)
+            else:
+                write_heatmap_ppm(path, values, zeros)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the grid is 32 MB; writing every cell built 8 MB of samples or
+        # 12 MB of colour, and float temporaries of 2 MB per 262,144 cells
+        assert peak < 2**20, f"peak {peak / 2**10:.0f} KiB"

@@ -1,4 +1,4 @@
-"""Risk grid accumulation, decay, normalization, and heatmap orientation."""
+"""Risk grid accumulation, decay, normalization and the combined violation grid."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from crowdrisk.risk import (
     decay_sum,
     grid_zeros,
     normalize,
-    render_heatmap,
     stamp_kernel,
 )
 
@@ -149,6 +148,26 @@ class TestAccumulateViolations:
         stamp_kernel(yellow, (15, 15))
         expected = 1.0 * red.values + 0.1 * tracked.values + 0.5 * yellow.values
         assert np.allclose(vg.combined(presence.values), expected, atol=1e-12)
+
+
+    def test_combined_bits_match_full_grid_sum(self):
+        # layers live on different rows, presence alone on some, -0.0 on
+        # one; 2048 columns make blocks of a few rows, most of them skipped
+        rng = np.random.default_rng(17)
+        vg = ViolationGrid(2048, 40, alpha=1.0, beta=0.1, delta=0.5)
+        presence = np.zeros((40, 2048))
+        vg.layer_r.values[[3, 4, 20]] = rng.exponential(size=(3, 2048))
+        vg.layer_y.values[[4, 30]] = rng.exponential(size=(2, 2048))
+        presence[[0, 3, 12, 13, 39]] = rng.exponential(size=(5, 2048))
+        presence[25, 5] = -0.0
+        want = vg.alpha * vg.layer_r.values + vg.beta * presence + vg.delta * vg.layer_y.values
+        got = vg.combined(presence)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_coefficient(self, bad):
+        with pytest.raises(ValueError):
+            ViolationGrid(4, 4, beta=bad)
 
 
 class TestCrowdGrid:
@@ -415,31 +434,3 @@ class TestNormalize:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             normalize(np.zeros((2, 2)), 5, 5)
-
-
-class TestRenderHeatmap:
-    def test_max_of_grid_and_doubled_violations(self):
-        G = np.array([[3.0, 0.0]])
-        S = np.array([[5.0, 0.0]])
-        hue = render_heatmap(G, S)
-        # pre-normalization risk is max(3, 10) = 10 at cell 0, 0 at cell 1
-        assert hue[0, 0] == 0.0  # hottest -> red
-        assert hue[0, 1] == 120.0  # coldest -> blue
-
-    def test_all_zero_renders_uniform_blue(self):
-        hue = render_heatmap(np.zeros((4, 4)), np.zeros((4, 4)))
-        assert np.array_equal(hue, np.full((4, 4), 120.0))
-
-    def test_hottest_red_coldest_blue_random(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            G = rng.random((6, 6)) * 10
-            S = rng.random((6, 6)) * 10
-            risk = np.maximum(G, 2 * S)
-            hue = render_heatmap(G, S)
-            assert hue[np.unravel_index(risk.argmax(), risk.shape)] == 0.0
-            assert hue[np.unravel_index(risk.argmin(), risk.shape)] == 120.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            render_heatmap(np.zeros((3, 3)), np.zeros((4, 4)))
