@@ -149,7 +149,6 @@ class TestAccumulateViolations:
         expected = 1.0 * red.values + 0.1 * tracked.values + 0.5 * yellow.values
         assert np.allclose(vg.combined(presence.values), expected, atol=1e-12)
 
-
     def test_combined_bits_match_full_grid_sum(self):
         # layers live on different rows, presence alone on some, -0.0 on
         # one; 2048 columns make blocks of a few rows, most of them skipped
