@@ -3,7 +3,9 @@
 Rectangular matrices are padded to square with a large sentinel cost and
 sentinel matches are stripped afterwards, so the real side of the smaller
 dimension is always fully matched.  Among equal-cost optima the result is
-the lexicographically smallest match set by (row, column).
+the lexicographically smallest match set by (row, column).  The padding
+columns are the indices >= m, so each row prefers its real columns over
+padding (being unmatched) simply by taking columns in ascending order.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     padded[:n, :m] = cost
 
     col_of_row, reduced = _munkres(padded)
-    col_of_row = _lex_refine(reduced == 0.0, col_of_row, n, m)
+    col_of_row = _lex_refine(reduced == 0.0, col_of_row, n)
 
     matches = [(i, int(col_of_row[i])) for i in range(n) if col_of_row[i] < m]
     matched_rows = {i for i, _ in matches}
@@ -61,9 +63,13 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
 def _munkres(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classical O(k^3) Munkres on a square matrix.
 
-    Returns (column of each row, final reduced matrix).  The zeros of the
-    reduced matrix are exactly the cells admissible in some optimal
-    assignment, which the tie-break refinement walks afterwards.
+    Returns (column of each row, final reduced matrix).  The reduced matrix
+    is the cost minus row and column potentials, non-negative and zero on
+    every matched cell, so by complementary slackness the perfect matchings
+    of its zero cells are exactly the optimal assignments.  The tie-break
+    refinement chooses among those.  A zero cell need not lie in any of them,
+    and float rounding can leave a tight cell a few ulps above zero, which
+    hides the ties through it.
     """
     Z = costs.astype(float, copy=True)
     k = Z.shape[0]
@@ -124,73 +130,48 @@ def _munkres(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise RuntimeError("assignment did not converge")  # unreachable on finite input
 
 
-def _lex_refine(zero: np.ndarray, col_of_row: np.ndarray, n: int, m: int) -> np.ndarray:
+def _lex_refine(zero: np.ndarray, col_of_row: np.ndarray, n: int) -> np.ndarray:
     """Rewire a perfect zero-matching so real rows, in ascending order, hold the
-    smallest usable column (real columns preferred over padding)."""
+    smallest column they can keep in some perfect zero-matching.
+
+    With the rows before i fixed, row i can only move to a zero column left
+    of its own c0 that a later row holds.  It may take such a column j
+    exactly when an alternating path leads from j's holder back to c0 over
+    the later rows (Berge).  One backward search from c0 finds every such j;
+    `toward[x]` is the reached column that x's holder moves to when x is
+    taken.
+    """
     k = zero.shape[0]
     col_of_row = col_of_row.copy()
+    index = np.arange(k)
     row_of_col = np.empty(k, dtype=int)
-    row_of_col[col_of_row] = np.arange(k)
-    fixed_rows = np.zeros(k, dtype=bool)
-    fixed_cols = np.zeros(k, dtype=bool)
+    row_of_col[col_of_row] = index
+    toward = np.empty(k, dtype=int)
 
-    for i in range(n):
-        candidates = sorted(np.nonzero(zero[i])[0], key=lambda c: (c >= m, c))
-        for j in candidates:
-            if fixed_cols[j]:
-                continue
-            if _try_force(zero, col_of_row, row_of_col, fixed_rows, fixed_cols, i, int(j)):
-                break
-        fixed_rows[i] = True
-        fixed_cols[col_of_row[i]] = True
-    return col_of_row
-
-
-def _try_force(
-    zero: np.ndarray,
-    col_of_row: np.ndarray,
-    row_of_col: np.ndarray,
-    fixed_rows: np.ndarray,
-    fixed_cols: np.ndarray,
-    i: int,
-    j: int,
-) -> bool:
-    """Attempt to give row i column j, rerouting the displaced row through an
-    augmenting path over unfixed rows/columns.  Reverts on failure."""
-    if col_of_row[i] == j:
-        return True
-    saved_cols = col_of_row.copy()
-    saved_rows = row_of_col.copy()
-
-    displaced = int(row_of_col[j])
-    freed_col = int(col_of_row[i])
-    col_of_row[i] = j
-    row_of_col[j] = i
-    col_of_row[displaced] = -1
-    row_of_col[freed_col] = -1
-
-    visited = np.zeros(zero.shape[0], dtype=bool)
-
-    def augment(row: int) -> bool:
-        for c in np.nonzero(zero[row])[0]:
-            if c == j or fixed_cols[c] or visited[c]:
-                continue
-            visited[c] = True
-            holder = int(row_of_col[c])
-            if holder == -1:
-                col_of_row[row] = c
-                row_of_col[c] = row
-                return True
-            if fixed_rows[holder]:
-                continue
-            if augment(holder):
-                col_of_row[row] = c
-                row_of_col[c] = row
-                return True
-        return False
-
-    if augment(displaced):
-        return True
-    col_of_row[:] = saved_cols
-    row_of_col[:] = saved_rows
-    return False
+    i = 0
+    while True:
+        late = zero[i:n] & (index < col_of_row[i:n, None]) & (row_of_col > index[i:n, None])
+        moves = late.any(axis=1)
+        if not moves.any():
+            return col_of_row
+        i += int(moves.argmax())
+        c0 = int(col_of_row[i])
+        open_cols = row_of_col >= i
+        candidates = np.flatnonzero(zero[i] & open_cols)
+        reached = index == c0
+        frontier = np.array([c0])
+        while frontier.size and not reached[candidates[0]]:
+            rest = np.flatnonzero(open_cols & ~reached)
+            hits = zero[row_of_col[rest][:, None], frontier]
+            got = hits.any(axis=1)
+            toward[rest[got]] = frontier[hits[got].argmax(axis=1)]
+            frontier = rest[got]
+            reached[frontier] = True
+        row, x = i, int(candidates[reached[candidates]][0])
+        while x != c0:
+            holder = int(row_of_col[x])
+            col_of_row[row], row_of_col[x] = x, row
+            row, x = holder, int(toward[x])
+        col_of_row[row] = c0
+        row_of_col[c0] = row
+        i += 1

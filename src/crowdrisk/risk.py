@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RiskConfig
 from .distancing import FramePositions, ZoneLabel
 
 # Stamp offsets (drow, dcol, weight): kernel mass is 6 for interior stamps.
@@ -65,7 +66,7 @@ class RiskGrid:
 
     width: int
     height: int
-    cell_scale: float = 1.0
+    cell_scale: float = RiskConfig.cell_scale
     values: np.ndarray = field(default=None)  # type: ignore[assignment]
     dropped: int = 0
 
@@ -136,10 +137,10 @@ class ViolationGrid:
 
     width: int
     height: int
-    alpha: float = 1.0
-    beta: float = 0.1
-    delta: float = 0.5
-    cell_scale: float = 1.0
+    alpha: float = RiskConfig.alpha
+    beta: float = RiskConfig.beta
+    delta: float = RiskConfig.delta
+    cell_scale: float = RiskConfig.cell_scale
     layer_r: RiskGrid = field(default=None)  # type: ignore[assignment]
     layer_y: RiskGrid = field(default=None)  # type: ignore[assignment]
 
@@ -197,8 +198,8 @@ class CrowdGrid:
 
     width: int
     height: int
-    decay_gamma: float = 0.99
-    cell_scale: float = 1.0
+    decay_gamma: float = RiskConfig.decay_gamma
+    cell_scale: float = RiskConfig.cell_scale
     grid: RiskGrid = field(default=None)  # type: ignore[assignment]
     live_rows: np.ndarray = field(init=False, repr=False)
     live_runs: list[tuple[int, int]] = field(init=False, repr=False)
@@ -260,7 +261,7 @@ class LongTermCrowd:
 
     width: int
     height: int
-    smoothing: float = 0.999
+    smoothing: float = RiskConfig.long_term_smoothing
     values: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .assignment import Assignment, solve_assignment
+from .config import TrackerConfig
 from .geometry import BBox, boxes_array, foot_point, iou_matrix, project_to_bev
 
 STATE_DIM = 7
@@ -296,9 +297,9 @@ class Tracker:
     def __init__(
         self,
         projection: np.ndarray | None = None,
-        iou_gate: float = 0.3,
-        min_hits: int = 3,
-        max_age: int = 30,
+        iou_gate: float = TrackerConfig.iou_gate,
+        min_hits: int = TrackerConfig.min_hits,
+        max_age: int = TrackerConfig.max_age,
         kalman: KalmanParams = DEFAULT_KALMAN,
     ):
         if not (0.0 <= iou_gate <= 1.0):

@@ -115,3 +115,52 @@ class TestAgainstBruteForce:
         first = solve_assignment(cost)
         for _ in range(5):
             assert solve_assignment(cost) == first
+
+
+def lex_min_optimum(cost: np.ndarray, linear_sum_assignment) -> list[tuple[int, int]]:
+    """The tie rule row by row: each row takes the first free real column, or
+    else stays unmatched, from which a maximal matching of optimal total is
+    still reachable.  Exact on integer costs, where every total is exact."""
+    n, m = cost.shape
+    size = min(n, m)
+
+    def best(rows: list[int], cols: list[int]) -> float:
+        if not rows or not cols:
+            return 0.0
+        sub = cost[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub)
+        return float(sub[r, c].sum())
+
+    optimum = best(list(range(n)), list(range(m)))
+    matches: list[tuple[int, int]] = []
+    spent = 0.0
+    for i in range(n):
+        free = [c for c in range(m) if c not in {j for _, j in matches}]
+        rest = list(range(i + 1, n))
+        for j in free + [None]:
+            cols = [c for c in free if c != j]
+            if len(matches) + (j is not None) + min(len(rest), len(cols)) != size:
+                continue
+            if spent + (0.0 if j is None else cost[i, j]) + best(rest, cols) == optimum:
+                break
+        else:
+            raise AssertionError(f"row {i}: no choice reaches the optimum")
+        if j is not None:
+            matches.append((i, j))
+            spent += cost[i, j]
+    return matches
+
+
+class TestTieRuleBeyondBruteForce:
+    def test_integer_costs_with_equal_rows(self):
+        """Up to 40x40, both orientations, costs in {0, 1, 2} with some rows
+        all equal, so the tie-break rotates long chains."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n, m = (int(v) for v in rng.integers(1, 41, size=2))
+            cost = rng.integers(0, 3, size=(n, m)).astype(float)
+            equal = rng.random(n) < 0.3
+            cost[equal] = rng.integers(0, 3, size=(int(equal.sum()), 1))
+            expected = lex_min_optimum(cost, optimize.linear_sum_assignment)
+            assert solve_assignment(cost).matches == expected

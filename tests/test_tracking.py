@@ -6,10 +6,19 @@ walker advancing a fixed number of pixels per frame, with exact boxes.
 
 from __future__ import annotations
 
+import os
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from crowdrisk.geometry import BBox
+sys.path.insert(0, os.path.dirname(__file__))
+
+from test_assignment import brute_force  # noqa: E402
+
+from crowdrisk.assignment import solve_assignment
+from crowdrisk.geometry import BBox, iou_matrix
 from crowdrisk.tracking import (
     KalmanParams,
     NumericalUpdateError,
@@ -144,6 +153,62 @@ class TestAssociate:
     def test_empty_inputs(self):
         out = associate([], [], iou_gate=0.3)
         assert out.matches == []
+
+
+def exact_total(cost: np.ndarray, pairs) -> Fraction:
+    return sum((Fraction(cost[i, j]) for i, j in pairs), Fraction(0))
+
+
+def tie_boxes(rng: np.random.Generator, count: int, pool: np.ndarray) -> np.ndarray:
+    """(count, 4) center-format boxes: copies of pool boxes (exact IoU ties),
+    boxes far from every other (all-1.0 cost rows), and random overlapping ones."""
+    out = np.empty((count, 4))
+    for b in range(count):
+        kind = rng.integers(3)
+        if kind == 0:
+            out[b] = pool[rng.integers(len(pool))]
+        elif kind == 1:
+            out[b] = (1000.0 + 100.0 * rng.integers(1000), 1000.0, 10.0, 20.0)
+        else:
+            out[b] = (rng.uniform(0, 30), rng.uniform(0, 30), rng.uniform(5, 20), rng.uniform(10, 30))
+    return out
+
+
+class TestAssociateAgainstBruteForce:
+    """`associate` against the brute-force optimum of 1 - IoU, with the pairs
+    below the gate moved to unmatched.
+
+    The solver finds ties as the exact zeros of its reduced matrix, and float
+    rounding there hides a few exact ties: on those draws it returns another
+    optimum than the lexicographically smallest.  Their number per gate is
+    pinned, so a change of the tie rule shows up here as a deliberate diff.
+    """
+
+    ROUNDED_TIES = {0.0: 14, 0.3: 0, 1.0: 0}
+
+    def test_random_boxes_with_ties(self):
+        rng = np.random.default_rng(2024)
+        rounded = dict.fromkeys(self.ROUNDED_TIES, 0)
+        for _ in range(1000):
+            n, m = (int(v) for v in rng.integers(1, 6, size=2))
+            pool = tie_boxes(rng, 3, np.array([[10.0, 10.0, 10.0, 20.0]]))
+            tracks, dets = tie_boxes(rng, n, pool), tie_boxes(rng, m, pool)
+            overlap = iou_matrix(tracks, dets)
+            cost = 1.0 - overlap
+            _, pairs = brute_force(cost)
+            raw = solve_assignment(cost).matches
+            for gate in rounded:
+                out = associate(tracks, dets, iou_gate=gate)
+                kept = [(i, j) for i, j in pairs if overlap[i, j] >= gate]
+                if out.matches != kept:
+                    # another optimum: same exact total, then gated the same way
+                    assert exact_total(cost, raw) == exact_total(cost, pairs)
+                    assert out.matches == [(i, j) for i, j in raw if overlap[i, j] >= gate]
+                    rounded[gate] += 1
+                assert out.unmatched_tracks == sorted(set(range(n)) - {i for i, _ in out.matches})
+                assert out.unmatched_detections == sorted(
+                    set(range(m)) - {j for _, j in out.matches})
+        assert rounded == self.ROUNDED_TIES
 
 
 class TestTrackerLifecycle:
