@@ -136,7 +136,7 @@ def run_pipeline(
     long_term = LongTermCrowd(rc.grid_width, rc.grid_height, rc.long_term_smoothing)
     registry = CoupleRegistry()
 
-    track_lines: list[str] = []
+    track_text: list[str] = []  # one string per frame
     reports: list[FrameReport | range] = []
     frames_processed = 0
     processed = 0  # detection rows at or above the confidence threshold
@@ -162,8 +162,7 @@ def run_pipeline(
             tracks = tracker.step(rows, frame)
             processed += len(rows)
             ids = tracks.ids.tolist()
-            for tid, box, conf in zip(ids, tracks.boxes.tolist(), tracks.conf.tolist()):
-                track_lines.append(format_mot_line(frame, tid, box, conf))
+            track_text.append(format_mot_line(frame, ids, tracks.boxes, tracks.conf))
 
             if tracks_only:
                 frames_processed += 1
@@ -180,7 +179,7 @@ def run_pipeline(
             accumulate_violations(violation_grid, labels, pos)
             if config.crowd_map_enabled:
                 crowd_step(crowd, pos)
-                long_term.update(crowd.values, crowd.live_runs)
+                long_term.update(crowd.values, crowd.live_rects)
 
             report = FrameReport(
                 frame=frame,
@@ -208,8 +207,7 @@ def run_pipeline(
             raise PipelineError(f"frame {frame}: {exc}") from exc
 
     with open(os.path.join(out, "tracks.txt"), "w", encoding="ascii", newline="\n") as fh:
-        for line in track_lines:
-            fh.write(line + "\n")
+        fh.writelines(track_text)
 
     dropped = 0
     if not tracks_only:

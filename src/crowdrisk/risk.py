@@ -7,13 +7,14 @@ combine with G as presence, and a decaying crowd grid for ventilated
 scenes with its long-term moving average.  A frame's stamps on a grid are
 one `np.add.at`, adding in the order of one `stamp_kernel` call per person.
 
-The crowd recurrences touch only live rows: rows some crowd stamp has
-reached, the kernel's +-1 rows included.  A row never stamped is 0.0 in the
-crowd grid and in its average, and `0*gamma` and `s*0 + (1-s)*0` are exactly
-0, so skipping it changes no bit.  A stretch of k frames with nobody in it
-can also be advanced in one closed-form step (`advance_empty`), which agrees
-with k single steps to rounding.  The combined violation grid is summed
-only on the rows where one of its layers is not +0.0, for the same reason.
+The crowd recurrences touch only live rectangles, which cover every cell
+some crowd stamp has reached, the kernel's +-1 rows and columns included.
+A cell never stamped is 0.0 in the crowd grid and in its average, and
+`0*gamma` and `s*0 + (1-s)*0` are exactly 0, so skipping it changes no bit.
+A stretch of k frames with nobody in it can also be advanced in one
+closed-form step (`advance_empty`), which agrees with k single steps to
+rounding.  The combined violation grid is summed only on the rows where one
+of its layers is not +0.0, for the same reason.
 """
 
 from __future__ import annotations
@@ -96,13 +97,19 @@ def stamp_kernel(grid: RiskGrid, center: tuple[int, int]) -> RiskGrid:
     return grid
 
 
-def _stamp_positions(grid: RiskGrid, xy: np.ndarray) -> np.ndarray:
-    """Stamp the kernel at the cell of each (n, 2) BEV point; return the rows it reached.
+_NO_CELLS = np.zeros(0, dtype=np.intp)
+
+
+def _stamp_positions(grid: RiskGrid, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stamp the kernel at the cell of each (n, 2) BEV point; return the (rows, cols) it reached.
 
     A point's cell is (floor(xw / cell_scale), floor(yw / cell_scale)); off-grid
     points count on grid.dropped.  `np.add.at` adds unbuffered in index order,
     point by point and then kernel offset by offset, as stamp_kernel would.
+    An empty set of points returns before any numpy call.
     """
+    if not len(xy):
+        return _NO_CELLS, _NO_CELLS
     col = np.floor(xy[:, 0] / grid.cell_scale)
     row = np.floor(xy[:, 1] / grid.cell_scale)
     inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
@@ -110,8 +117,9 @@ def _stamp_positions(grid: RiskGrid, xy: np.ndarray) -> np.ndarray:
     rows = row[inside].astype(np.intp)[:, None] + _KERNEL_DR
     cols = col[inside].astype(np.intp)[:, None] + _KERNEL_DC
     ok = (rows >= 0) & (rows < grid.height) & (cols >= 0) & (cols < grid.width)
-    np.add.at(grid.values, (rows[ok], cols[ok]), np.broadcast_to(_KERNEL_W, ok.shape)[ok])
-    return rows[ok]
+    reached = rows[ok], cols[ok]
+    np.add.at(grid.values, reached, np.broadcast_to(_KERNEL_W, ok.shape)[ok])
+    return reached
 
 
 def accumulate_tracking(grid: RiskGrid, pos: FramePositions) -> RiskGrid:
@@ -120,10 +128,11 @@ def accumulate_tracking(grid: RiskGrid, pos: FramePositions) -> RiskGrid:
     return grid
 
 
-# Cells per block of the combined sum: its float temporaries stay below
-# glibc's initial mmap threshold (128 KiB), so freeing them leaves the
-# threshold, and the run's peak memory, where they found it.
-_SUM_BLOCK_CELLS = 8192
+# Float temporaries of at most this many cells stay below glibc's initial
+# mmap threshold (128 KiB): the heap hands the same memory back each time,
+# and freeing them leaves the threshold, and the run's peak memory, where
+# they found it.  The combined sum goes in blocks of this size.
+_HEAP_CELLS = 8192
 
 
 @dataclass
@@ -163,7 +172,7 @@ class ViolationGrid:
         live = np.zeros(self.height, dtype=bool)
         for layer in (r, presence, y):
             live |= np.ascontiguousarray(layer).view(np.uint64).any(axis=1)
-        step = max(1, _SUM_BLOCK_CELLS // self.width)
+        step = max(1, _HEAP_CELLS // self.width)
         for start in range(0, self.height, step):
             rows = slice(start, start + step)
             if live[rows].any():
@@ -183,6 +192,20 @@ def accumulate_violations(
     return vg
 
 
+# The crowd grids are swept on rectangles built from tiles of _BAND_ROWS rows
+# by _CHUNK_COLS columns.  A band is cut down to the columns from its first
+# reached tile to its last only while that skips at least _MIN_SKIP_COLS
+# columns: a numpy call on one more rectangle costs about as much as
+# sweeping that many columns of a few rows.  A band that is cut down covers
+# all its rows.  A band that spans whole rows covers only its live rows and
+# merges with its neighbours into the runs of live rows; it stays whole,
+# since its reached columns only grow.
+_BAND_ROWS = 16
+_CHUNK_BITS = 6  # a tile is 2**6 = 64 columns wide
+_CHUNK_COLS = 1 << _CHUNK_BITS
+_MIN_SKIP_COLS = 1024
+
+
 @dataclass
 class CrowdGrid:
     """Decaying occupancy grid for scenes with ventilation.
@@ -190,10 +213,13 @@ class CrowdGrid:
     Cells decay by decay_gamma each frame before new stamps land, so a
     steadily occupied cell converges to stamp_weight / (1 - gamma).
 
-    `live_rows` marks every row that holds or has held mass; `live_runs`
-    lists them as contiguous (start, stop) runs, rebuilt when a stamp marks
-    a new row.  Rows outside them are 0.0.  Write to `values` only through
-    `crowd_step` and `advance_empty`, which keep the mask up to date.
+    `live_rects` lists (rows, columns) slice pairs, in row order, that cover
+    every cell that holds or has held mass; every other cell is 0.0.  They
+    are built from the tiles stamps have reached (see _BAND_ROWS) and the
+    live rows, the rows holding a stamped cell.  A frame whose stamps all
+    land in covered cells changes neither, so the rectangles are rebuilt
+    only when a stamp lands outside them.  Write to `values` only through
+    `crowd_step` and `advance_empty`, which keep them up to date.
     """
 
     width: int
@@ -201,8 +227,7 @@ class CrowdGrid:
     decay_gamma: float = RiskConfig.decay_gamma
     cell_scale: float = RiskConfig.cell_scale
     grid: RiskGrid = field(default=None)  # type: ignore[assignment]
-    live_rows: np.ndarray = field(init=False, repr=False)
-    live_runs: list[tuple[int, int]] = field(init=False, repr=False)
+    live_rects: list[tuple[slice, slice]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.decay_gamma <= 1.0):
@@ -210,28 +235,60 @@ class CrowdGrid:
         given = self.grid is not None
         if not given:
             self.grid = RiskGrid(self.width, self.height, self.cell_scale)
-        self.live_rows = np.zeros(self.grid.height, dtype=bool)
-        self.live_runs = []
+        height, chunks = self.grid.height, -(-self.grid.width // _CHUNK_COLS)
+        self._live = np.zeros(height, dtype=bool)
+        self._tiles = np.zeros((-(-height // _BAND_ROWS), chunks), dtype=bool)
+        self._covered = np.zeros((height, chunks), dtype=bool)  # [r, c]: row r of chunk c
+        self.live_rects = []
         if given:  # a new grid is all zeros: reading it would only fault its pages in
-            self._mark_rows(np.flatnonzero(self.grid.values.any(axis=1)))
+            self._mark(*np.nonzero(self.grid.values))
 
     @property
     def values(self) -> np.ndarray:
         return self.grid.values
 
-    def _mark_rows(self, rows: np.ndarray) -> None:
-        if rows.size == 0 or self.live_rows[rows].all():
+    def _mark(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        chunk = cols >> _CHUNK_BITS
+        if self._covered[rows, chunk].all():
             return
-        self.live_rows[rows] = True
-        self.live_runs = row_runs(self.live_rows)
+        self._live[rows] = True
+        self._tiles[rows // _BAND_ROWS, chunk] = True
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        height, width = self.grid.height, self.grid.width
+        tiles = self._tiles
+        first = tiles.argmax(axis=1) * _CHUNK_COLS
+        stop = np.minimum((tiles.shape[1] - tiles[:, ::-1].argmax(axis=1)) * _CHUNK_COLS, width)
+        whole = width - (stop - first) < _MIN_SKIP_COLS
+        # a band cut down to its columns covers all its rows: a stamp on a new row needs no rebuild
+        self._live |= np.repeat(tiles.any(axis=1) & ~whole, _BAND_ROWS)[:height]
+        first[whole], stop[whole] = 0, width
+        # one key per row for its span, -1 for a dead row and for the rows
+        # around the grid: a rectangle is a run of one key >= 0
+        span = np.repeat(first * (width + 1) + stop, _BAND_ROWS)[:height]
+        key = np.full(height + 2, -1)
+        key[1:-1] = np.where(self._live, span, -1)
+        edges = np.flatnonzero(key[1:] != key[:-1])
+        starts, stops, keys = edges[:-1], edges[1:], key[edges[:-1] + 1]
+        kept = keys >= 0
+        self.live_rects = [
+            (slice(r0, r1), slice(*divmod(k, width + 1)))
+            for r0, r1, k in zip(starts[kept].tolist(), stops[kept].tolist(), keys[kept].tolist())
+        ]
+        self._covered[:] = False
+        for rect_rows, rect_cols in self.live_rects:
+            self._covered[rect_rows, rect_cols.start >> _CHUNK_BITS:
+                          -(-rect_cols.stop >> _CHUNK_BITS)] = True
 
 
 def crowd_step(cg: CrowdGrid, pos: FramePositions) -> CrowdGrid:
-    """Decay the live rows, then stamp the currently occupied cells."""
+    """Decay the live rectangles, then stamp the currently occupied cells."""
     values = cg.grid.values
-    for start, stop in cg.live_runs:
-        values[start:stop] *= cg.decay_gamma
-    cg._mark_rows(_stamp_positions(cg.grid, pos.xy))
+    for cells in cg.live_rects:
+        part = values[cells]
+        part *= cg.decay_gamma
+    cg._mark(*_stamp_positions(cg.grid, pos.xy))
     return cg
 
 
@@ -271,46 +328,49 @@ class LongTermCrowd:
             self.values = grid_zeros(self.height, self.width)
         self._blend = np.empty((0, self.values.shape[1]))
 
-    def _weighted(self, crowd_rows: np.ndarray, weight: float) -> np.ndarray:
-        """crowd_rows * weight in a buffer kept as long as the longest run so far.
+    def _weighted(self, crowd: np.ndarray, weight: float) -> np.ndarray:
+        """crowd * weight; above _HEAP_CELLS cells, in a buffer kept as tall as the tallest so far.
 
-        The buffer is overwritten by the next call.  A fresh product each
-        frame would be memory the allocator hands back and faults in again.
+        The buffer is overwritten by the next call.  A fresh product that
+        large each frame would be memory the allocator hands back and faults
+        in again.
         """
-        n = len(crowd_rows)
-        if len(self._blend) < n:
-            self._blend = np.empty((n, self.values.shape[1]))
-        return np.multiply(crowd_rows, weight, out=self._blend[:n])
+        if crowd.size <= _HEAP_CELLS:
+            return crowd * weight
+        rows, cols = crowd.shape
+        if len(self._blend) < rows:
+            self._blend = np.empty((rows, self.values.shape[1]))
+        return np.multiply(crowd, weight, out=self._blend[:rows, :cols])
 
     def update(self, crowd_values: np.ndarray,
-               runs: list[tuple[int, int]] | None = None) -> None:
-        """Fold one crowd map in, on the (start, stop) row runs or the whole grid.
+               rects: list[tuple[slice, slice]] | None = None) -> None:
+        """Fold one crowd map in, on the (rows, columns) slice rectangles or the whole grid.
 
-        Rows outside `runs` must be 0.0 here and in crowd_values, where
+        Cells outside `rects` must be 0.0 here and in crowd_values, where
         the update would leave them 0.0.
         """
-        for start, stop in ((0, len(self.values)),) if runs is None else runs:
-            rows = self.values[start:stop]
-            rows *= self.smoothing
-            rows += self._weighted(crowd_values[start:stop], 1.0 - self.smoothing)
+        for cells in (np.s_[:, :],) if rects is None else rects:
+            part = self.values[cells]
+            part *= self.smoothing
+            part += self._weighted(crowd_values[cells], 1.0 - self.smoothing)
 
 
 def advance_empty(cg: CrowdGrid, long_term: LongTermCrowd, k: int) -> None:
     """Advance both crowd grids over k frames with nobody in them, in one step.
 
     Equals k rounds of `crowd_step` with no positions and
-    `long_term.update(cg.values, cg.live_runs)` up to rounding:
+    `long_term.update(cg.values, cg.live_rects)` up to rounding:
     C <- g**k * C and L <- s**k * L + (1-s) * g * decay_sum(s, g, k) * C.
     """
     if k < 1:
         raise ValueError(f"need k >= 1 frames, got {k}")
     g, s = cg.decay_gamma, long_term.smoothing
     crowd_weight = (1.0 - s) * g * decay_sum(s, g, k)
-    for start, stop in cg.live_runs:
-        crowd = cg.values[start:stop]
-        rows = long_term.values[start:stop]
-        rows *= s ** k
-        rows += long_term._weighted(crowd, crowd_weight)
+    for cells in cg.live_rects:
+        crowd = cg.values[cells]
+        part = long_term.values[cells]
+        part *= s ** k
+        part += long_term._weighted(crowd, crowd_weight)
         crowd *= g ** k
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -407,12 +408,15 @@ class Tracker:
         return FrameTracks(ids=t.id[shown], boxes=boxes, conf=t.conf[shown], ground=ground)
 
 
-def format_mot_line(frame: int, track_id: int, box, conf: float) -> str:
-    """One MOTChallenge result line; coordinates and confidence at 2 decimals.
+def format_mot_line(frame: int, track_ids, boxes, conf) -> str:
+    """The MOTChallenge result lines of one frame, each ending in a newline.
 
-    `box` is a center-format (cx, cy, w, h) sequence.
+    `track_ids` are n ints, `boxes` an (n, 4) array of center-format
+    (cx, cy, w, h) boxes and `conf` n confidences; coordinates and
+    confidence are written at 2 decimals (`%.2f` rounds as `format` does).
     """
-    cx, cy, w, h = box
-    left = cx - w / 2.0
-    top = cy - h / 2.0
-    return f"{frame},{track_id},{left:.2f},{top:.2f},{w:.2f},{h:.2f},{conf:.2f},-1,-1,-1"
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    left_top = (boxes[:2] - boxes[2:] / 2.0).tolist()
+    fields = zip(track_ids, *left_top, *boxes[2:].tolist(), np.asarray(conf, dtype=float).tolist())
+    line = f"{frame},%d,%.2f,%.2f,%.2f,%.2f,%.2f,-1,-1,-1\n"
+    return line * len(boxes[0]) % tuple(itertools.chain.from_iterable(fields))

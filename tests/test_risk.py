@@ -298,8 +298,16 @@ def stamped_pair(gamma: float, smoothing: float, seed: int = 3):
     lt = LongTermCrowd(24, 32, smoothing=smoothing)
     for pos in random_frames(np.random.default_rng(seed), 12, 24, 32, 1.0):
         crowd_step(cg, pos)
-        lt.update(cg.values, cg.live_runs)
+        lt.update(cg.values, cg.live_rects)
     return cg, lt
+
+
+def outside(rects: list[tuple[slice, slice]], shape: tuple[int, int]) -> np.ndarray:
+    """The mask of the cells that no rectangle covers."""
+    mask = np.ones(shape, dtype=bool)
+    for cells in rects:
+        mask[cells] = False
+    return mask
 
 
 class TestLiveRows:
@@ -313,7 +321,7 @@ class TestLiveRows:
         ref_long = np.zeros((height, width))
         for pos in random_frames(rng, 150, width, height, scale):
             crowd_step(cg, pos)
-            lt.update(cg.values, cg.live_runs)
+            lt.update(cg.values, cg.live_rects)
             ref.values *= gamma
             accumulate_tracking(ref, pos)
             ref_long *= s
@@ -321,20 +329,19 @@ class TestLiveRows:
             assert np.array_equal(cg.values, ref.values)
             assert np.array_equal(lt.values, ref_long)
         assert cg.grid.dropped == ref.dropped > 0
-        assert cg.live_rows[0] and cg.live_rows[-1]
-        assert not cg.values[~cg.live_rows].any()
+        assert cg.live_rects[0][0].start == 0 and cg.live_rects[-1][0].stop == height
+        assert not cg.values[outside(cg.live_rects, cg.values.shape)].any()
 
     def test_runs_follow_the_mask(self):
         cg = CrowdGrid(8, 16)
         crowd_step(cg, positions([(3, 0.5), (3, 6.5), (3, 8.5), (3, 15.5)]))
-        assert cg.live_runs == [(0, 2), (5, 10), (14, 16)]
-        assert np.array_equal(np.flatnonzero(cg.live_rows), [0, 1, 5, 6, 7, 8, 9, 14, 15])
+        assert cg.live_rects == [np.s_[0:2, 0:8], np.s_[5:10, 0:8], np.s_[14:16, 0:8]]
 
     def test_prefilled_grid_rows_are_live(self):
         grid = RiskGrid(4, 6)
         grid.values[2, 1] = 5.0
         cg = CrowdGrid(4, 6, decay_gamma=0.5, grid=grid)
-        assert cg.live_runs == [(2, 3)]
+        assert cg.live_rects == [np.s_[2:3, 0:4]]
         crowd_step(cg, positions([]))
         assert cg.values[2, 1] == 2.5
 
@@ -343,17 +350,110 @@ class TestLiveRows:
         cg, lt = CrowdGrid(240, 240), LongTermCrowd(240, 240)
         pos = positions([(x, y) for x in range(5, 240, 40) for y in range(5, 240, 3)])
         crowd_step(cg, pos)
-        lt.update(cg.values, cg.live_runs)
-        assert cg.live_runs == [(4, 240)]
+        lt.update(cg.values, cg.live_rects)
+        assert cg.live_rects == [np.s_[4:240, 0:240]]
         tracemalloc.start()
         try:
             for _ in range(3):
                 crowd_step(cg, pos)
-                lt.update(cg.values, cg.live_runs)
+                lt.update(cg.values, cg.live_rects)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < cg.values.nbytes // 4
+
+
+def band_windows(rng, width: int, height: int) -> list[int]:
+    """Per band of 16 rows, the first of the four 64-column chunks most of its stamps go to.
+
+    The first band's window holds column 0, the last band's the grid's last column.
+    """
+    chunks, bands = -(-width // 64), -(-height // 16)
+    middle = rng.integers(0, chunks - 4, size=max(bands - 2, 0)).tolist()
+    return [0, *middle, chunks - 4][:bands] if bands > 1 else [0]
+
+
+def tile_edge_frames(rng, windows: list[int], n_frames: int, width: int, height: int,
+                     scale: float):
+    """Frames of 0-4 people, or ("gap", k) for k frames with nobody, on tile and grid edges.
+
+    A stamp's centre lands on a row either side of a band edge and a column
+    either side of a chunk edge in its band's window, so the kernel's +-1
+    cells cross into bands and chunks no centre has reached, and bands start
+    narrow.  Later, more and more stamps land anywhere, which widens bands to
+    whole rows; a few land off the grid.
+    """
+    frames = []
+    for frame in range(n_frames):
+        if rng.random() < 0.1:
+            frames.append(("gap", int(rng.integers(1, 40))))
+            continue
+        points = []
+        for _ in range(int(rng.integers(0, 5))):
+            band = int(rng.integers(0, len(windows)))
+            row = band * 16 + rng.choice([-1, 0, 1, 7, 14, 15])
+            col = (windows[band] + int(rng.integers(0, 4))) * 64 + rng.choice([-2, -1, 0, 1])
+            if band == len(windows) - 1 and rng.random() < 0.2:
+                col = width - 1  # the first window holds column 0 already
+            roll = rng.random()
+            if roll < 0.06 * frame / n_frames:
+                row, col = band * 16 + int(rng.integers(0, 16)), int(rng.integers(0, width))
+            elif roll > 0.93:
+                off_grid = [(-1, col), (height, col), (row, -1), (row, width)]
+                row, col = off_grid[int(rng.integers(0, 4))]
+            points.append(((col + rng.uniform(0.25, 0.75)) * scale,
+                           (row + rng.uniform(0.25, 0.75)) * scale))
+        frames.append(("step", positions(points)))
+    return frames
+
+
+class TestLiveRects:
+    """Crowd recurrences on the live rectangles against the same recurrences on the whole grid."""
+
+    @pytest.mark.parametrize("height,width,prefill,seed", [
+        (45, 1500, False, 0), (37, 1419, True, 1), (70, 2100, True, 2),
+        (23, 1400, False, 3), (45, 1500, True, 4), (37, 1419, False, 5),
+        (37, 300, True, 6),  # too narrow to cut a band down: whole rows only
+    ])
+    def test_bit_identical_to_full_grid_recurrence(self, height, width, prefill, seed):
+        rng = np.random.default_rng(seed)
+        scale, gamma, s = 1.5, 0.97, 0.9
+        windows = band_windows(rng, width, height)
+        start = np.zeros((height, width))
+        if prefill:  # mass in each band's window where no stamp lands, and in the corners
+            for band, chunk in enumerate(windows):
+                start[min(band * 16 + 4, height - 1), chunk * 64 + 30] = rng.uniform(0.5, 3.0)
+            start[0, 0] = start[-1, -1] = 1.0
+        given = RiskGrid(width, height, scale, values=start.copy()) if prefill else None
+        cg = CrowdGrid(width, height, decay_gamma=gamma, cell_scale=scale, grid=given)
+        lt = LongTermCrowd(width, height, smoothing=s)
+        ref = RiskGrid(width, height, scale, values=start.copy())
+        ref_long = np.zeros((height, width))
+        narrow = whole = 0
+        for kind, event in tile_edge_frames(rng, windows, 300, width, height, scale):
+            if kind == "gap":
+                advance_empty(cg, lt, event)
+                ref_long *= s ** event
+                ref_long += ref.values * ((1.0 - s) * gamma * decay_sum(s, gamma, event))
+                ref.values *= gamma ** event
+            else:
+                crowd_step(cg, event)
+                lt.update(cg.values, cg.live_rects)
+                ref.values *= gamma
+                accumulate_tracking(ref, event)
+                ref_long *= s
+                ref_long += ref.values * (1.0 - s)
+            assert np.array_equal(cg.values, ref.values)
+            assert np.array_equal(lt.values, ref_long)
+            skipped = outside(cg.live_rects, (height, width))
+            assert not cg.values.view(np.uint64)[skipped].any()
+            assert not lt.values.view(np.uint64)[skipped].any()
+            narrow += sum(cols != slice(0, width) for _, cols in cg.live_rects)
+            whole += sum(cols == slice(0, width) for _, cols in cg.live_rects)
+        assert cg.grid.dropped == ref.dropped > 0
+        assert whole > 0 and (narrow > 0) == (width > 1024 + 64)
+        rows = [r for rect_rows, _ in cg.live_rects for r in range(rect_rows.start, rect_rows.stop)]
+        assert rows == sorted(set(rows))  # disjoint, in row order
 
 
 def test_grid_zeros_is_a_fresh_writable_zero_grid():
@@ -379,7 +479,7 @@ class TestAdvanceEmpty:
         ref_cg, ref_lt = copy.deepcopy(cg), copy.deepcopy(lt)
         for j in range(k):
             crowd_step(ref_cg, positions([], frame=100 + j))
-            ref_lt.update(ref_cg.values, ref_cg.live_runs)
+            ref_lt.update(ref_cg.values, ref_cg.live_rects)
         advance_empty(cg, lt, k)
         for ref in (ref_cg.values, ref_lt.values):  # a tolerance on subnormals would be loose
             assert ref[ref > 0].min() > np.finfo(float).tiny

@@ -296,9 +296,7 @@ class TestTrackerLifecycle:
                     for k in range(4)
                 ]
                 out = tracker.step(dets, frame)
-                for tid, box, conf in zip(out.ids.tolist(), out.boxes.tolist(),
-                                          out.conf.tolist()):
-                    lines.append(format_mot_line(frame, tid, box, conf))
+                lines.append(format_mot_line(frame, out.ids.tolist(), out.boxes, out.conf))
             return lines
 
         assert run() == run()
@@ -325,7 +323,35 @@ class TestTrackerLifecycle:
         assert track.state.x.shape == (7,)
 
 
+def mot_line_fstring(frame: int, track_id: int, box, conf: float) -> str:
+    """Reference: the per-track f-string format_mot_line used before it formatted whole frames."""
+    cx, cy, w, h = box
+    left = cx - w / 2.0
+    top = cy - h / 2.0
+    return f"{frame},{track_id},{left:.2f},{top:.2f},{w:.2f},{h:.2f},{conf:.2f},-1,-1,-1"
+
+
 class TestMotLine:
     def test_fixed_decimals(self):
-        line = format_mot_line(3, 7, (125.0, 250.0, 50.0, 100.0), 0.9)
-        assert line == "3,7,100.00,200.00,50.00,100.00,0.90,-1,-1,-1"
+        text = format_mot_line(3, [7], np.array([[125.0, 250.0, 50.0, 100.0]]), np.array([0.9]))
+        assert text == "3,7,100.00,200.00,50.00,100.00,0.90,-1,-1,-1\n"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frame_text_matches_per_line_fstring(self, seed):
+        rng = np.random.default_rng(seed)
+        # exact binary halves at the third decimal, decimal .xx5 values, and plain draws
+        halves = np.array([0.125, 0.375, 0.625, 0.875, 0.005, 0.015, 0.995, 2.675])
+        for n in [0, 1, 2, 7, 40]:
+            kind = rng.integers(0, 3, size=(n, 4))
+            exact = rng.integers(-900, 900, size=(n, 4)) + rng.choice(halves, size=(n, 4))
+            decimal = np.round(rng.uniform(-900, 900, size=(n, 4)), 2) + 0.005
+            values = np.where(kind == 0, exact,
+                              np.where(kind == 1, decimal, rng.uniform(-1e4, 1e4, size=(n, 4))))
+            boxes = np.column_stack([values[:, :2], np.abs(values[:, 2:]) + 0.25])
+            conf = np.where(rng.random(n) < 0.5, rng.choice(halves[:4], n) / 10 + 0.5,
+                            rng.random(n))
+            ids = rng.choice([1, 9, 10**6 + 3, 2**40 + 1, 10**15], size=n).tolist()
+            frame = int(rng.integers(1, 10**7))
+            want = "".join(mot_line_fstring(frame, tid, box, c) + "\n"
+                           for tid, box, c in zip(ids, boxes.tolist(), conf.tolist()))
+            assert format_mot_line(frame, ids, boxes, conf) == want
