@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MAX_MUNKRES_ITER = 1_000_000
+# Reduced cells at most this many times the largest absolute cost or sentinel
+# (or 1) are tight: ties that rounding hid are found again.
+_TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,13 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     """Solve the minimum-cost assignment over a finite n x m cost matrix.
 
     Matched pairs achieve the minimum total cost over all maximal matchings;
-    ties resolve to the lexicographically smallest match set.  Raises
-    ValueError on non-finite entries.
+    ties resolve to the lexicographically smallest match set.  Two match
+    sets tie when their totals differ by rounding only: a cell of the final
+    reduced matrix counts as tight when it is at most `1e-12 * max(1, c)`,
+    c the largest absolute value among the costs and the padding sentinel
+    (the largest cost plus 1), since rounding in the potential updates can
+    leave an exactly tight cell a few ulps above zero.
+    Raises ValueError on non-finite entries.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -48,7 +56,10 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     padded[:n, :m] = cost
 
     col_of_row, reduced = _munkres(padded)
-    col_of_row = _lex_refine(reduced == 0.0, col_of_row, n)
+    # the sentinel, the largest cost plus 1, and the smallest cost bound every |cost|
+    scale = max(1.0, abs(sentinel), abs(float(cost.min())))
+    tight = reduced <= _TIE_TOLERANCE * scale
+    col_of_row = _lex_refine(tight, col_of_row, n)
 
     matches = [(i, int(col_of_row[i])) for i in range(n) if col_of_row[i] < m]
     matched_rows = {i for i, _ in matches}
@@ -68,8 +79,8 @@ def _munkres(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every matched cell, so by complementary slackness the perfect matchings
     of its zero cells are exactly the optimal assignments.  The tie-break
     refinement chooses among those.  A zero cell need not lie in any of them,
-    and float rounding can leave a tight cell a few ulps above zero, which
-    hides the ties through it.
+    and float rounding can leave a tight cell a few ulps above zero, so
+    `solve_assignment` reads cells within a tolerance of zero as tight.
     """
     Z = costs.astype(float, copy=True)
     k = Z.shape[0]

@@ -14,8 +14,10 @@ from one cached block of background rows, with the live cells' samples put
 in.  A table formats only the live cells: an all-zero row is one cached
 `0 0 ... 0` line, and a live row splices its cell texts into that line.  No
 writer builds an array or a text the size of the grid.  Reading a table
-costs what its non-zero rows cost: only the rows that differ from the
-all-zero line are parsed.
+skips the lines equal to the all-zero line.  When the other lines are
+mostly `0` cells, numpy locates their non-zero cells on a byte view and
+only those are parsed, so reading costs what the non-zero cells cost;
+tables with many non-zero cells are parsed by `np.loadtxt`.
 """
 
 from __future__ import annotations
@@ -227,11 +229,102 @@ def _bad_table(path: str, lines: list[str], candidates, cols: int) -> ValueError
     return ValueError(f"{path}: rows are not {cols} numbers each")
 
 
+# The bytes of a non-zero cell's `.17g` text, `nan` and `inf` included.
+_CELL_BYTES = b"0123456789.e+-nainf"
+# The length of the longest such text, as `-2.2250738585072014e-308`.
+_LONGEST_CELL = 24
+# Live lines are scanned while at most one cell in this many is not `0`:
+# beyond that, parsing their non-zero cells one by one costs about what
+# `np.loadtxt` costs for all of them.
+_SCAN_SHARE = 16
+
+
+def _scan_cells(lines: list[str], live: list[int], cols: int):
+    """Locate and parse the cells of lines[i], i in `live`, that are not `0`.
+
+    It works on lines in the writer's form: `cols` tokens separated by
+    single spaces, made of `_CELL_BYTES`, with every zero cell the lone token
+    `0`, and a final newline.  Numpy finds the tokens that are not a lone `0`
+    on a byte view of the joined lines; only those are parsed.  A lone `0`
+    and its separator take exactly two bytes, so a token's column follows
+    from its offset in its line and the lengths of the located tokens before
+    it.  Returns the (index into `live`, column, value) arrays of the located
+    tokens, or None when the lines are not in the writer's form, a token does
+    not parse, or more than one cell in `_SCAN_SHARE` is not `0`.
+    """
+    if not lines[live[-1]].endswith("\n"):  # only the file's last line can lack it
+        return None
+    lengths = [len(lines[i]) for i in live]
+    # lines in the writer's form with more bytes than this hold more than one
+    # non-zero cell in _SCAN_SHARE: they are not joined for a scan
+    if sum(lengths) * _SCAN_SHARE > (2 * _SCAN_SHARE + _LONGEST_CELL - 1) * cols * len(live):
+        return None
+    text = "".join(["\n", *(lines[i] for i in live)])
+    newline = np.cumsum([0] + lengths)  # the offsets of text's newlines
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # only spaces and the line ends separate tokens; any other byte, a tab
+    # included, is part of a token and must be one of _CELL_BYTES
+    sep = buf == 32
+    sep[newline] = True
+    lone = sep[:-2] & (buf[1:-1] == 48) & sep[2:]  # lone[p - 1]: byte p is a lone `0`
+    located = sep[:-2] > lone  # located[p - 1]: a token that is not a lone `0` starts at p
+    if np.count_nonzero(located) * _SCAN_SHARE > cols * len(live):
+        return None
+    starts = np.flatnonzero(located) + 1
+    ends = np.flatnonzero(sep[2:] > lone) + 2
+    # a token that starts at a separator, or a separator before the last
+    # newline, is an empty token: a doubled, leading or trailing space, or
+    # an empty line
+    if len(starts) != len(ends) or sep[-2] or sep[starts].any():
+        return None
+    line = np.searchsorted(newline, starts) - 1
+    extra = ends - starts - 1  # each token's bytes beyond a lone `0`'s one
+    before = np.cumsum(np.concatenate(([0], extra)))
+    first = np.searchsorted(line, np.arange(len(live) + 1))
+    # a line of t tokens takes 2 * t bytes plus its tokens' extra bytes
+    if np.any(np.diff(newline) - np.diff(before[first]) != 2 * cols):
+        return None
+    offset = starts - newline[line] - 1
+    col = (offset - (before[:-1] - before[first[line]])) // 2
+
+    values = np.empty(len(starts))
+    short = extra == 0
+    # a one-byte token other than `0` must be a digit; bytes below `0` wrap past 9
+    digits = buf[starts[short]] - 48
+    if np.any(digits > 9):
+        return None
+    values[short] = digits
+    long = ~short
+    tokens = [text[a:b] for a, b in zip(starts[long].tolist(), ends[long].tolist())]
+    if "".join(tokens).encode("ascii").translate(None, _CELL_BYTES):
+        return None  # a byte outside the writer's form
+    try:
+        values[long] = [float(token) for token in tokens]
+    except ValueError:
+        return None
+    return line, col, values
+
+
+def _parse_lines(path: str, lines: list[str], live: list[int], cols: int) -> np.ndarray:
+    """The values of lines[i] for i in `live`, one row each, parsed by `np.loadtxt`."""
+    try:
+        parsed = np.loadtxt([lines[i] for i in live], dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        raise _bad_table(path, lines, live, cols) from None
+    if parsed.shape != (len(live), cols):
+        raise _bad_table(path, lines, live, cols)
+    return parsed
+
+
 def read_value_table(path: str) -> np.ndarray:
     """Read a table written by `write_value_table`.
 
-    Lines equal to the all-zero row stay zeros; only the others are
-    parsed.  A malformed table raises ValueError naming the file and line.
+    Lines equal to the all-zero row stay zeros.  When the other lines hold
+    few bytes beyond two a cell, they are mostly `0` cells: they are scanned
+    (`_scan_cells`) and only their non-zero cells are parsed, so reading
+    costs what the non-zero cells cost.  Other tables, and lines that are not
+    in the writer's form, are parsed by one `np.loadtxt`.  A malformed table
+    raises ValueError naming the file and line.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -254,15 +347,15 @@ def read_value_table(path: str) -> np.ndarray:
         raise _bad_table(path, lines, range(rows), cols)
     zero_row = _zero_row(cols)
     live = [i for i, line in enumerate(lines) if line != zero_row]
-    parsed = np.zeros((0, cols))
-    if live:
-        try:
-            parsed = np.loadtxt([lines[i] for i in live], dtype=float, comments=None, ndmin=2)
-        except ValueError:
-            raise _bad_table(path, lines, live, cols) from None
-        if parsed.shape != (len(live), cols):
-            raise _bad_table(path, lines, live, cols)
+    if not live:
+        return np.zeros((rows, cols))
+    found = _scan_cells(lines, live, cols)
+    parsed = _parse_lines(path, lines, live, cols) if found is None else None
     # allocated only now: each line is known to hold `cols` values
     values = np.zeros((rows, cols))
-    values[live] = parsed
+    if found is None:
+        values[live] = parsed
+    else:
+        line, col, cells = found
+        values[np.asarray(live)[line], col] = cells
     return values

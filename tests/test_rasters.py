@@ -7,7 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crowdrisk import rasters
 from crowdrisk.rasters import (
+    _bad_table,
+    _zero_row,
     hue_to_rgb,
     read_value_table,
     write_heatmap_ppm,
@@ -174,10 +177,21 @@ def _oracle_grids():
     grids["one-zero-cell"] = np.zeros((1, 1))
     grids["no-rows"] = np.zeros((0, 3))
     grids["no-cols"] = np.zeros((2, 0))
+    # wide and mostly zero, as the risk grids are, so the reader scans them:
+    # live cells in the first and last column, and special values
+    specials = (-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e-300)
+    for name, shape, live in (("wide-3x2048", (3, 2048), 6), ("wide-64x1500", (64, 1500), 40)):
+        grid = _sparse(rng, shape, live)
+        grid[0, 0], grid[-1, -1], grid[1, -1] = 2.5, 1e-7, 3.0
+        grid.flat[rng.choice(grid.size, size=len(specials), replace=False)] = specials
+        grids[name] = grid
     return grids
 
 
 ORACLE_GRIDS = _oracle_grids()
+# the old writer merges 0.0 and -0.0, so it is a byte oracle only for the others
+WRITER_ORACLE_GRIDS = [name for name, grid in sorted(ORACLE_GRIDS.items())
+                       if not np.any((grid == 0) & np.signbit(grid))]
 
 
 class TestValueTable:
@@ -202,7 +216,7 @@ class TestValueTable:
         with pytest.raises(ValueError):
             read_value_table(path)
 
-    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("name", WRITER_ORACLE_GRIDS)
     def test_bytes_match_reference_writer(self, name, tmp_path):
         values = ORACLE_GRIDS[name]
         want, got = str(tmp_path / "want.txt"), str(tmp_path / "got.txt")
@@ -338,6 +352,134 @@ class TestHostileTables:
             fh.write(b"# 1 1\n\xff\n")
         with pytest.raises(ValueError, match="binary.txt"):
             read_value_table(path)
+
+
+def reference_read_value_table(path: str) -> np.ndarray:
+    """The table reader before the token scan, kept verbatim (with its name
+    changed) as an oracle: it parses every live line with `np.loadtxt`."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not an ASCII value table ({exc.reason})") from None
+    if len(header) != 3 or header[0] != "#" or not all(h.isdigit() for h in header[1:]):
+        raise ValueError(f"{path}:1: missing `# rows cols` header")
+    rows, cols = int(header[1]), int(header[2])
+    if len(lines) != rows:
+        raise ValueError(
+            f"{path}:{min(len(lines), rows) + 2}: header says {rows} rows, file has {len(lines)}"
+        )
+    if not rows:
+        return np.zeros((0, cols))
+    # a line shorter than this cannot hold `cols` values; checked before
+    # `cols` sizes the zero row, so the header cannot ask for a huge one
+    if max(map(len, lines)) < 2 * cols - 1:
+        raise _bad_table(path, lines, range(rows), cols)
+    zero_row = _zero_row(cols)
+    live = [i for i, line in enumerate(lines) if line != zero_row]
+    parsed = np.zeros((0, cols))
+    if live:
+        try:
+            parsed = np.loadtxt([lines[i] for i in live], dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            raise _bad_table(path, lines, live, cols) from None
+        if parsed.shape != (len(live), cols):
+            raise _bad_table(path, lines, live, cols)
+    # allocated only now: each line is known to hold `cols` values
+    values = np.zeros((rows, cols))
+    values[live] = parsed
+    return values
+
+
+def _read_outcome(read, path):
+    """The shape and bits a reader returns, or the message of the ValueError it raises."""
+    try:
+        values = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return values.shape, values.tobytes()
+
+
+def _wide_table_text(cols: int = 2048) -> list[str]:
+    """The lines of a writer-made table of four rows: zero, live, live, zero."""
+    row = ["0"] * cols
+    live = row.copy()
+    live[0], live[cols // 2], live[-1] = "0.25", "7", "-1.5e-07"
+    return [f"# 4 {cols}\n", " ".join(row) + "\n", " ".join(live) + "\n",
+            " ".join(live) + "\n", " ".join(row) + "\n"]
+
+
+class TestWideTablesMatchReferenceReader:
+    """Mostly-zero tables go through the token scan, which must read what the
+    old reader read: the same bits, or the same `path:line` message."""
+
+    def _compare(self, tmp_path, text: str):
+        path = str(tmp_path / "wide.txt")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        want = _read_outcome(reference_read_value_table, path)
+        assert _read_outcome(read_value_table, path) == want
+        return want
+
+    @pytest.mark.parametrize("name", [n for n in sorted(ORACLE_GRIDS) if n.startswith("wide-")])
+    def test_oracle_grid_read_without_loadtxt(self, name, tmp_path, monkeypatch):
+        path = str(tmp_path / "t.txt")
+        write_value_table(path, ORACLE_GRIDS[name])
+        want = reference_read_value_table(path)
+
+        def no_loadtxt(*args):
+            raise AssertionError("a mostly-zero table in the writer's form went to np.loadtxt")
+
+        monkeypatch.setattr(rasters, "_parse_lines", no_loadtxt)
+        assert read_value_table(path).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("col", [0, 1000, 2047])
+    @pytest.mark.parametrize("token", [
+        "00", "-0", "1_0", "1E5", "+1", ".5", "5.", "1e", "--1", "nan", "-nan", "inf", "-inf",
+        "NaN", "infinity", "nain", "1e999", "1e-999", "0x1", "e", ".", "-", "0.0", "007",
+        "1e+5", "1.5e-3",
+    ])
+    def test_cell_token(self, token, col, tmp_path):
+        lines = _wide_table_text()
+        cells = lines[2].split()
+        cells[col] = token
+        lines[2] = " ".join(cells) + "\n"
+        self._compare(tmp_path, "".join(lines))
+
+    @pytest.mark.parametrize("edit", [
+        ("0 0 0 0", "0 0  0 0"),  # a doubled space
+        ("0 0 0 0", "0 0\t0 0"),  # a tab
+        ("\n", " \n"),  # a trailing space
+        ("0.25", " 0.25"),  # a leading space
+        ("0 0 0 0", "0 0 0"),  # too few cells
+        ("0 0 0 0", "0 0 0 0 0"),  # too many cells
+    ])
+    def test_line_edit(self, edit, tmp_path):
+        lines = _wide_table_text()
+        lines[2] = lines[2].replace(*edit, 1)
+        self._compare(tmp_path, "".join(lines))
+
+    def test_crlf_line_ends(self, tmp_path):
+        shape, _ = self._compare(tmp_path, "".join(_wide_table_text()).replace("\n", "\r\n"))
+        assert shape == (4, 2048)
+
+    @pytest.mark.parametrize("last", ["live", "zero"])
+    def test_no_final_newline(self, last, tmp_path):
+        lines = _wide_table_text()
+        if last == "live":
+            lines[-1] = lines[2]
+        shape, _ = self._compare(tmp_path, "".join(lines)[:-1])
+        assert shape == (4, 2048)
+
+    def test_random_tokens_of_the_writer_bytes(self, tmp_path):
+        rng = np.random.default_rng(13)
+        chars = list("0123456789.e+-naif")
+        for _ in range(300):
+            cells = ["0"] * 64
+            for col in rng.choice(64, size=int(rng.integers(1, 4)), replace=False):
+                cells[col] = "".join(rng.choice(chars, size=int(rng.integers(1, 6))))
+            self._compare(tmp_path, "# 2 64\n" + " ".join(cells) + "\n" + " ".join(["0"] * 64) + "\n")
 
 
 # The raster writers before they went by live cells, kept verbatim (with
