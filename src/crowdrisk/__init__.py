@@ -24,13 +24,11 @@ from .distancing import (
     frame_stats,
     pairwise_violations,
     update_couples,
-    violation,
 )
 from .geometry import (
     BBox,
     CameraModel,
     CIoUBreakdown,
-    GroundPoint,
     build_projection,
     ciou_loss,
     estimate_homography,
@@ -52,10 +50,9 @@ from .risk import (
 from .tracking import (
     FrameTracks,
     KalmanParams,
-    Track,
+    TrackArrays,
     Tracker,
     TrackState,
-    TrackStatus,
     associate,
     kalman_predict,
     kalman_update,

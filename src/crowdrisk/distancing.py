@@ -4,10 +4,12 @@ All distances here are in BEV pixels; the pixel metric xi (px per meter)
 converts the metric policy knobs.  Couple detection is stateful across
 frames (consecutive-proximity counters), everything else is per frame.
 A frame's positions are its track ids plus one (n, 2) array of ground
-coordinates (`FramePositions`).  Every distance comes from
-`ground_distances`; the (n, n) matrix of one frame is computed once
-(`FramePositions.distances`) and shared by the violation, couple and zone
-rules.
+coordinates (`FramePositions`), and people are named by their row in it:
+close pairs come as (k, 2) arrays of row pairs, each row pair in increasing
+order.  Every distance comes from `ground_distances`; the (n, n) matrix of
+one frame is computed once (`FramePositions.distances`) and shared by the
+violation, couple and zone rules.  Only the couple counters are keyed by
+id pair, because they outlive the frame.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GroundPoint
+from .geometry import as_rows
 
 
 @dataclass(frozen=True)
@@ -55,19 +57,6 @@ class DistancePolicy:
         return self.couple_eps * self.fps
 
 
-class _Entries:
-    """(id, GroundPoint) pairs of a frame; the points are built only when iterated."""
-
-    def __init__(self, pos: "FramePositions"):
-        self.ids, self.xy = pos.ids, pos.xy
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        return ((tid, GroundPoint(*p)) for tid, p in zip(self.ids, self.xy.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class FramePositions:
     """Ground-plane positions in one frame: track ids and their (n, 2) array xy."""
@@ -77,22 +66,17 @@ class FramePositions:
     xy: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "xy", as_rows(self.xy, 2, f"frame {self.frame} xy"))
         if len(self.xy) != len(self.ids):
             raise ValueError(f"{len(self.ids)} ids but {len(self.xy)} points in frame {self.frame}")
         if len(self.row) != len(self.ids):
             raise ValueError(f"duplicate track ids in frame {self.frame}")
 
-    @classmethod
-    def from_pairs(cls, frame: int, pairs) -> "FramePositions":
-        """Positions from (id, GroundPoint) pairs."""
-        pairs = list(pairs)
-        xy = np.array([(p.xw, p.yw) for _, p in pairs], dtype=float).reshape(-1, 2)
-        return cls(frame, [tid for tid, _ in pairs], xy)
-
     @property
-    def entries(self) -> _Entries:
-        """(id, GroundPoint) pairs in row order; taking the length builds none."""
-        return _Entries(self)
+    def entries(self) -> list[int]:
+        """The ids again.  The benchmark's counters (perfbench/spans.py) read
+        len(pos.entries); drop this once they read len(pos.ids)."""
+        return self.ids
 
     @functools.cached_property
     def row(self) -> dict[int, int]:
@@ -122,20 +106,13 @@ def ground_distances(a, b) -> np.ndarray:
     return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 
-def violation(p_i: GroundPoint, p_j: GroundPoint, r: float) -> int:
-    """1 iff the L2 distance between the two points is <= r, else 0."""
-    return int(ground_distances((p_i.xw, p_i.yw), (p_j.xw, p_j.yw))[0, 0] <= r)
+def _close_pairs(pos: FramePositions, limit: float) -> np.ndarray:
+    """(k, 2) row pairs (a < b) at most `limit` apart, in row-major order."""
+    return np.argwhere(np.triu(pos.distances <= limit, k=1))
 
 
-def _close_pairs(pos: FramePositions, limit: float) -> set[tuple[int, int]]:
-    """Unordered id pairs (id_a < id_b) at most `limit` apart."""
-    rows, cols = np.nonzero(np.triu(pos.distances <= limit, k=1))
-    ids = pos.ids
-    return {_ordered(ids[a], ids[b]) for a, b in zip(rows.tolist(), cols.tolist())}
-
-
-def pairwise_violations(pos: FramePositions, policy: DistancePolicy) -> set[tuple[int, int]]:
-    """All unordered id pairs closer than the safe distance (id_a < id_b)."""
+def pairwise_violations(pos: FramePositions, policy: DistancePolicy) -> np.ndarray:
+    """(k, 2) row pairs (a < b) of `pos` at most the safe distance r apart."""
     return _close_pairs(pos, policy.r)
 
 
@@ -172,98 +149,88 @@ def update_couples(
     registry: CoupleRegistry, pos: FramePositions, policy: DistancePolicy
 ) -> CoupleRegistry:
     """Advance the couple counters with one frame of positions."""
-    registry._advance(_close_pairs(pos, policy.couple_d_px))
+    ids = np.asarray(pos.ids, dtype=np.int64)
+    pairs = np.sort(ids[_close_pairs(pos, policy.couple_d_px)], axis=1)
+    registry._advance(map(tuple, pairs.tolist()))
     return registry
 
 
 def exclusive_couples(
     registry: CoupleRegistry, pos: FramePositions, policy: DistancePolicy
-) -> dict[int, int]:
+) -> np.ndarray:
     """Assign each person to at most one couple partner.
 
     Couples are strictly pairwise: among flagged pairs present this frame,
     the closest pair wins first, ties broken by lower id sum, then by pair.
-    Returns a symmetric partner map.
+    Returns the (n,) partner row of each row of `pos`, -1 for none.
     """
     row = pos.row
     candidates = []
     for id_a, id_b in registry.couples(policy):
         if id_a in row and id_b in row:
-            d = float(pos.distances[row[id_a], row[id_b]])
-            candidates.append((d, id_a + id_b, (id_a, id_b)))
-    partner: dict[int, int] = {}
-    for _, _, (id_a, id_b) in sorted(candidates):
-        if id_a not in partner and id_b not in partner:
-            partner[id_a] = id_b
-            partner[id_b] = id_a
-    return partner
+            a, b = row[id_a], row[id_b]
+            candidates.append((float(pos.distances[a, b]), id_a + id_b, (id_a, id_b), a, b))
+    mate = np.full(len(pos.ids), -1)
+    for *_, a, b in sorted(candidates):
+        if mate[a] < 0 and mate[b] < 0:
+            mate[a], mate[b] = b, a
+    return mate
+
+
+_ZONES = (ZoneLabel.SAFE, ZoneLabel.POTENTIALLY_RISKY, ZoneLabel.HIGH_RISK)
 
 
 def classify_zones(
     pos: FramePositions,
-    violations: set[tuple[int, int]],
+    violations: np.ndarray,
     registry: CoupleRegistry,
     policy: DistancePolicy,
 ) -> dict[int, ZoneLabel]:
     """Label every person green (safe), red (high risk), or yellow (couple).
 
-    Couple members whose only close contact is their partner are yellow and
-    move as one identity.  Any breach against a non-partner turns everyone
-    involved red — including both members of a breached couple.  A couple's
-    external safety circle is centred on the pair midpoint with radius
-    r + d_c/2 BEV px (safe distance preserved for each member), where d_c
-    is the current partner separation.
+    `violations` holds the (k, 2) row pairs of `pairwise_violations`; the
+    labels are keyed by id.  Couple members whose only close contact is
+    their partner are yellow and move as one identity.  Any breach against
+    a non-partner turns everyone involved red — including both members of a
+    breached couple.  A couple's external safety circle is centred on the
+    pair midpoint with radius r + d_c/2 BEV px (safe distance preserved for
+    each member), where d_c is the current partner separation.
     """
-    row = pos.row
-    for id_a, id_b in violations:
-        if id_a not in row or id_b not in row:
-            raise ValueError(
-                f"violation pair ({id_a}, {id_b}) references ids absent from frame {pos.frame}"
-            )
+    n = len(pos.ids)
+    if len(violations) and (violations.min() < 0 or violations.max() >= n):
+        raise ValueError(f"violation rows outside 0..{n - 1} in frame {pos.frame}")
 
-    partner = exclusive_couples(registry, pos, policy)
-    red: set[int] = set()
+    mate = exclusive_couples(registry, pos, policy)
+    red = np.zeros(n, dtype=bool)
 
     # Plain pairwise breaches between non-partners.
-    for id_a, id_b in violations:
-        if partner.get(id_a) != id_b:
-            red.add(id_a)
-            red.add(id_b)
+    a, b = violations.T
+    breach = mate[a] != b
+    red[a[breach]] = red[b[breach]] = True
 
     # Couple-level checks: midpoint circles against outsiders and other couples.
-    couple_pairs = sorted({_ordered(a, b) for a, b in partner.items()})
-    if couple_pairs:
-        ia = [row[a] for a, _ in couple_pairs]
-        ib = [row[b] for _, b in couple_pairs]
+    ids = np.asarray(pos.ids, dtype=np.int64)
+    first = np.flatnonzero((mate >= 0) & (ids < ids[mate]))  # lower-id member of each couple
+    if len(first):
+        # couples in id-pair order: each lower id belongs to one couple only
+        ia = first[np.argsort(ids[first], kind="stable")]
+        ib = mate[ia]
         mids = (pos.xy[ia] + pos.xy[ib]) / 2.0
         d_c = pos.distances[ia, ib]  # current partner separations
         radius = policy.r + d_c / 2.0
-        outsider = np.array([pid not in partner for pid in pos.ids])
-        near = (ground_distances(mids, pos.xy) <= radius[:, None]) & outsider
-        for k, j in zip(*np.nonzero(near)):
-            red.add(pos.ids[j])
-            red.update(couple_pairs[k])
+        near = (ground_distances(mids, pos.xy) <= radius[:, None]) & (mate < 0)
+        red |= near.any(axis=0)
+        hit = near.any(axis=1)
         # each pair of couples once, the earlier couple's circle first
-        touching = ground_distances(mids, mids) <= radius[:, None] + d_c / 2.0
-        for k, l in zip(*np.nonzero(np.triu(touching, k=1))):
-            red.update(couple_pairs[k])
-            red.update(couple_pairs[l])
+        touching = np.triu(ground_distances(mids, mids) <= radius[:, None] + d_c / 2.0, k=1)
+        hit |= touching.any(axis=1) | touching.any(axis=0)
+        red[ia[hit]] = red[ib[hit]] = True
 
     # A red partner drags the other member of the couple along.
-    for pid in list(red):
-        mate = partner.get(pid)
-        if mate is not None:
-            red.add(mate)
+    red[mate[red & (mate >= 0)]] = True
 
-    labels: dict[int, ZoneLabel] = {}
-    for pid in pos.ids:
-        if pid in red:
-            labels[pid] = ZoneLabel.HIGH_RISK
-        elif pid in partner:
-            labels[pid] = ZoneLabel.POTENTIALLY_RISKY
-        else:
-            labels[pid] = ZoneLabel.SAFE
-    return labels
+    codes = np.where(red, 2, mate >= 0)
+    return dict(zip(pos.ids, map(_ZONES.__getitem__, codes.tolist())))
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,6 @@ class BBox:
         if not (0.0 <= self.conf <= 1.0):
             raise ValueError(f"confidence must be in [0, 1], got {self.conf}")
 
-    @classmethod
-    def from_ltwh(cls, left: float, top: float, w: float, h: float, conf: float = 1.0) -> "BBox":
-        return cls(left + w / 2.0, top + h / 2.0, w, h, conf)
-
     def corners(self) -> tuple[float, float, float, float]:
         """(x1, y1, x2, y2) with x1 < x2 and y1 < y2."""
         hw, hh = self.w / 2.0, self.h / 2.0
@@ -70,18 +66,6 @@ class CIoUBreakdown:
     loss: float
 
 
-@dataclass(frozen=True)
-class GroundPoint:
-    """Point in the bird's-eye-view ground plane."""
-
-    xw: float
-    yw: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.xw) and math.isfinite(self.yw)):
-            raise ValueError(f"ground point must be finite, got ({self.xw}, {self.yw})")
-
-
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0.0 when disjoint."""
     ax1, ay1, ax2, ay2 = a.corners()
@@ -95,19 +79,20 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def boxes_array(boxes) -> np.ndarray:
-    """(n, 4) center-format (cx, cy, w, h) array from an array or a sequence of BBox."""
-    if isinstance(boxes, np.ndarray):
-        return boxes.reshape(-1, 4)
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+def as_rows(a, width: int, name: str) -> np.ndarray:
+    """`a` as a float (n, width) array; ValueError naming its shape otherwise."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"{name} must be an (n, {width}) array, got shape {a.shape}")
+    return a
 
 
 def iou_matrix(rows, cols) -> np.ndarray:
-    """Pairwise IoU of two box sets, bit-identical to the scalar iou().
+    """Pairwise IoU of two (n, 4) center-format box arrays.
 
-    Each side is an (n, 4) center-format array or a sequence of BBox.
+    Each cell is bit-identical to the scalar iou() of the two boxes.
     """
-    A, B = boxes_array(rows), boxes_array(cols)
+    A, B = as_rows(rows, 4, "rows"), as_rows(cols, 4, "cols")
     a_lo, a_hi = A[:, :2] - A[:, 2:] / 2.0, A[:, :2] + A[:, 2:] / 2.0
     b_lo, b_hi = (B[:, :2] - B[:, 2:] / 2.0).T, (B[:, :2] + B[:, 2:] / 2.0).T
     iw = np.minimum(a_hi[:, 0, None], b_hi[0]) - np.maximum(a_lo[:, 0, None], b_lo[0])
@@ -144,8 +129,8 @@ def ciou_loss(pred: BBox, gt: BBox) -> CIoUBreakdown:
 
 
 def foot_point(boxes) -> np.ndarray:
-    """(n, 2) bottom-edge midpoints, the ground contacts, of boxes_array(boxes)."""
-    B = boxes_array(boxes)
+    """(n, 2) bottom-edge midpoints, the ground contacts, of (n, 4) center-format boxes."""
+    B = as_rows(boxes, 4, "boxes")
     return np.stack([B[:, 0], B[:, 1] + B[:, 3] / 2.0], axis=1)
 
 
@@ -277,9 +262,9 @@ def _normalize_for_dlt(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_homography(
-    correspondences: list[tuple[tuple[float, float], GroundPoint | tuple[float, float]]],
+    correspondences: list[tuple[tuple[float, float], tuple[float, float]]],
 ) -> np.ndarray:
-    """Estimate the 3x3 pixel-to-ground map from n >= 4 point correspondences.
+    """Estimate the 3x3 pixel-to-ground map from n >= 4 ((u, v), (xw, yw)) pairs.
 
     Normalized direct linear transform: solve the homogeneous system by SVD
     in conditioned coordinates, denormalize, and scale so m33 = 1.
@@ -292,12 +277,7 @@ def estimate_homography(
             f"need at least 4 correspondences, got {len(correspondences)}"
         )
     src = np.array([[float(p[0]), float(p[1])] for p, _ in correspondences])
-    dst = np.array(
-        [
-            [g.xw, g.yw] if isinstance(g, GroundPoint) else [float(g[0]), float(g[1])]
-            for _, g in correspondences
-        ]
-    )
+    dst = np.array([[float(g[0]), float(g[1])] for _, g in correspondences])
 
     src_n, T_src = _normalize_for_dlt(src)
     dst_n, T_dst = _normalize_for_dlt(dst)

@@ -6,21 +6,22 @@ rates (aspect ratio is modelled as constant).  The tracker holds all live
 tracks as one structure of arrays (`TrackArrays`: means x (n, 7),
 covariances P (n, 7, 7), and id/hits/age/time-since-update/confidence/
 status vectors), so each frame runs one batched Kalman predict over every
-track and one batched update over the matched rows.  `kalman_predict` and
-`kalman_update` accept any leading batch shape, and each row of a batched
-call is bit-identical to the single-state call.  Predicted boxes are
-associated to detections as (n, 4) arrays by minimum 1-IoU cost, gated,
-and tracks move through a Tentative -> Confirmed -> Dead lifecycle; dead
-tracks leave the arrays in the frame they die.
+track and one batched update over the matched rows; `Tracker.tracks` copies
+those arrays out.  `kalman_predict` and `kalman_update` accept any leading
+batch shape, and each row of a batched call is bit-identical to the
+single-state call.  Predicted boxes are associated to detections as (n, 4)
+arrays by minimum 1-IoU cost, gated, and tracks move through a Tentative ->
+Confirmed -> Dead lifecycle; dead tracks leave the arrays in the frame they
+die.
 
 A frame comes in as one (m, 5) array of (cx, cy, w, h, conf) detection rows
 and leaves as one `FrameTracks` of arrays, its ground points projected in
-one `project_to_bev` call.
+one `project_to_bev` call.  Nothing on this path builds an object per box
+or per track.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from dataclasses import dataclass, fields
@@ -29,7 +30,7 @@ import numpy as np
 
 from .assignment import Assignment, solve_assignment
 from .config import TrackerConfig
-from .geometry import BBox, boxes_array, foot_point, iou_matrix, project_to_bev
+from .geometry import as_rows, foot_point, iou_matrix, project_to_bev
 
 STATE_DIM = 7
 MEAS_DIM = 4
@@ -90,11 +91,6 @@ def measurements_from_boxes(boxes: np.ndarray) -> np.ndarray:
     return np.stack([cx, cy, w * h, w / h], axis=1)
 
 
-def measurement_from_bbox(b: BBox) -> np.ndarray:
-    """(u, v, s, r) observation of one box."""
-    return measurements_from_boxes(boxes_array([b]))[0]
-
-
 def boxes_from_states(x: np.ndarray) -> np.ndarray:
     """(n, 4) center-format boxes (cx, cy, w, h) of non-degenerate (n, 7) states."""
     s, r = x[:, 2], x[:, 3]
@@ -125,12 +121,6 @@ class TrackState:
         """Box area or aspect ratio no longer describes a valid box."""
         return (self.s <= 0.0) | (self.r <= 0.0)
 
-    @classmethod
-    def from_bbox(cls, b: BBox, params: KalmanParams = DEFAULT_KALMAN) -> "TrackState":
-        x = np.zeros(STATE_DIM)
-        x[:MEAS_DIM] = measurement_from_bbox(b)
-        return cls(x=x, P=params.P0())
-
 
 def _mT(a: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes."""
@@ -146,18 +136,17 @@ def kalman_predict(state: TrackState, params: KalmanParams = DEFAULT_KALMAN) -> 
 
 
 def kalman_update(
-    state: TrackState, meas: BBox | np.ndarray, params: KalmanParams = DEFAULT_KALMAN
+    state: TrackState, meas: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
 ) -> TrackState:
     """Standard Kalman correction against an observed box.
 
-    `meas` is one box, or an array (..., 4) of (u, v, s, r) observations
-    with the batch shape of `state`.  The gain splits the correction between
+    `meas` is an array (..., 4) of (u, v, s, r) observations with the batch
+    shape of `state` (see `measurements_from_boxes`).  The gain splits the correction between
     prediction and observation in proportion to their covariances.
     Joseph-form covariance update keeps P symmetric positive semidefinite.
     """
     P = state.P
-    z = measurement_from_bbox(meas) if isinstance(meas, BBox) else np.asarray(meas, dtype=float)
-    innovation = z - state.x[..., :MEAS_DIM]
+    innovation = np.asarray(meas, dtype=float) - state.x[..., :MEAS_DIM]
     # the observation matrix is a component selector, so H P H^T etc. are slices
     S = P[..., :MEAS_DIM, :MEAS_DIM] + params.R
     if not np.all(np.diagonal(S, axis1=-2, axis2=-1) > 0.0):
@@ -177,24 +166,6 @@ def kalman_update(
     P_post = I_KH @ P @ _mT(I_KH) + (K * params.meas_noise_diag) @ _mT(K)
     P_post = (P_post + _mT(P_post)) / 2.0
     return TrackState(x=x, P=P_post)
-
-
-class TrackStatus(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-
-
-@dataclass(frozen=True)
-class Track:
-    """Read-only view of one live track (see `Tracker.tracks`)."""
-
-    id: int
-    state: TrackState
-    conf: float
-    hits: int
-    age: int
-    time_since_update: int
-    status: TrackStatus
 
 
 @dataclass
@@ -254,18 +225,11 @@ class FrameTracks:
         return len(self.ids)
 
 
-def _detection_rows(detections) -> np.ndarray:
-    """(m, 5) (cx, cy, w, h, conf) rows of such an array or of a sequence of BBox."""
-    if not isinstance(detections, np.ndarray):
-        detections = [(b.cx, b.cy, b.w, b.h, b.conf) for b in detections]
-    return np.asarray(detections, dtype=float).reshape(-1, 5)
-
-
 def associate(tracks, detections, iou_gate: float) -> Assignment:
     """Match tracks to detections by minimum 1-IoU cost.
 
-    Both sides are (n, 4) center-format box arrays or sequences of BBox.
-    Pairs with IoU below the gate are forbidden: the solver may pair them,
+    Both sides are (n, 4) arrays of center-format boxes; the matches are
+    (track row, detection row) pairs.  Pairs with IoU below the gate are forbidden: the solver may pair them,
     but they are moved back to the unmatched sets afterwards.
     """
     if not (0.0 <= iou_gate <= 1.0):
@@ -321,21 +285,9 @@ class Tracker:
         self.last_removed: list[int] = []
 
     @property
-    def tracks(self) -> list[Track]:
-        """Live tracks in birth order, copied out of the arrays."""
-        t = self._tracks
-        return [
-            Track(
-                id=int(t.id[i]),
-                state=TrackState(x=t.x[i].copy(), P=t.P[i].copy()),
-                conf=float(t.conf[i]),
-                hits=int(t.hits[i]),
-                age=int(t.age[i]),
-                time_since_update=int(t.time_since_update[i]),
-                status=TrackStatus.CONFIRMED if t.confirmed[i] else TrackStatus.TENTATIVE,
-            )
-            for i in range(len(t))
-        ]
+    def tracks(self) -> TrackArrays:
+        """A copy of the live tracks' arrays, one row per track in birth order."""
+        return self._tracks.select(np.arange(len(self._tracks)))
 
     @property
     def next_id(self) -> int:
@@ -350,14 +302,17 @@ class Tracker:
     def step(self, detections, frame: int) -> FrameTracks:
         """Advance one frame: predict, associate, update, manage lifecycle.
 
-        `detections` is an (m, 5) array of (cx, cy, w, h, conf) rows or a
-        sequence of BBox.  Returns the confirmed tracks updated this frame,
-        with their ground-plane positions when a projection is configured.
+        `detections` is an (m, 5) array of (cx, cy, w, h, conf) rows; an
+        empty input is a frame without detections, and any other shape is a
+        ValueError.  Returns the confirmed tracks updated this frame, with
+        their ground-plane positions when a projection is configured.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise SequencingError(
                 f"frame {frame} is not after previous frame {self._last_frame}"
             )
+        det = np.asarray(detections, dtype=float)
+        det = np.zeros((0, 5)) if det.size == 0 else as_rows(det, 5, "detections")
         self._last_frame = frame
         removed: list[int] = []
 
@@ -371,7 +326,6 @@ class Tracker:
                 removed.extend(t.id[dead].tolist())
                 t = t.select(~dead)
 
-        det = _detection_rows(detections)
         det_boxes, det_conf = det[:, :4], det[:, 4]
         assign = associate(boxes_from_states(t.x), det_boxes, self.iou_gate)
 

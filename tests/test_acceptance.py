@@ -20,7 +20,13 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from synthetic import crowd_stream_lines, scene_config  # noqa: E402
+from synthetic import (  # noqa: E402
+    box_rows,
+    crowd_stream_lines,
+    measure,
+    scene_config,
+    state_from_box,
+)
 
 from crowdrisk.assignment import solve_assignment
 from crowdrisk.config import load_config
@@ -34,11 +40,9 @@ from crowdrisk.distancing import (
     frame_stats,
     pairwise_violations,
     update_couples,
-    violation,
 )
 from crowdrisk.geometry import (
     BBox,
-    GroundPoint,
     ciou_loss,
     estimate_homography,
     iou,
@@ -47,7 +51,7 @@ from crowdrisk.geometry import (
 from crowdrisk.pipeline import run_pipeline
 from crowdrisk.rasters import read_value_table
 from crowdrisk.risk import CrowdGrid, RiskGrid, accumulate_tracking, crowd_step, normalize
-from crowdrisk.tracking import KalmanParams, Tracker, TrackState, kalman_predict, kalman_update
+from crowdrisk.tracking import KalmanParams, Tracker, kalman_predict, kalman_update
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DET = os.path.join(DATA_DIR, "synthetic_300.det")
@@ -188,12 +192,12 @@ def test_homography_round_trip():
 @criterion("Kalman consistency: noiseless walker, error < 1e-6 by update 10, P symmetric 1e-9")
 def test_kalman_consistency():
     params = KalmanParams(meas_noise=(1e-12,) * 4, process_noise=(0.0,) * 7)
-    state = TrackState.from_bbox(BBox(0.0, 50.0, 10.0, 20.0), params)
+    state = state_from_box((0.0, 50.0, 10.0, 20.0), params)
     error = None
     for frame in range(1, 11):
         state = kalman_predict(state, params)
         assert np.abs(state.P - state.P.T).max() < 1e-9
-        state = kalman_update(state, BBox(2.0 * frame, 50.0, 10.0, 20.0), params)
+        state = kalman_update(state, measure((2.0 * frame, 50.0, 10.0, 20.0)), params)
         assert np.abs(state.P - state.P.T).max() < 1e-9
         error = math.hypot(state.u - 2.0 * frame, state.v - 50.0)
     assert error is not None and error < 1e-6
@@ -204,7 +208,7 @@ def test_tracker_integrity():
     tracker = Tracker(min_hits=3, max_age=10)
     ids_by_lane: dict[float, set[int]] = {50.0: set(), 300.0: set()}
     for frame in range(1, 101):
-        dets = [BBox(2.0 * frame, 50.0, 10.0, 20.0), BBox(2.0 * frame, 300.0, 10.0, 20.0)]
+        dets = box_rows((2.0 * frame, 50.0, 10.0, 20.0), (2.0 * frame, 300.0, 10.0, 20.0))
         out = tracker.step(dets, frame)
         for tid, cy in zip(out.ids.tolist(), out.boxes[:, 1].tolist()):
             lane = min(ids_by_lane, key=lambda v: abs(cy - v))
@@ -215,14 +219,14 @@ def test_tracker_integrity():
 
     def run_gap(gap: int) -> tuple[int, int]:
         tracker = Tracker(min_hits=1, max_age=5)
-        box = BBox(50.0, 50.0, 10.0, 20.0)
+        box = box_rows((50.0, 50.0, 10.0, 20.0))
         frame = 0
         for frame in range(1, 4):
-            before = tracker.step([box], frame).ids[0]
+            before = tracker.step(box, frame).ids[0]
         for _ in range(gap):
             frame += 1
             tracker.step([], frame)
-        after = tracker.step([box], frame + 1).ids[0]
+        after = tracker.step(box, frame + 1).ids[0]
         return before, after
 
     before, after = run_gap(5)  # gap == max_age
@@ -238,23 +242,24 @@ def test_distancing_oracle():
     for trial in range(500):
         n = int(rng.integers(0, 51))
         ids = [int(i) for i in rng.choice(5000, size=n, replace=False)]
-        pos = FramePositions.from_pairs(
-            trial + 1,
-            [(i, GroundPoint(*rng.uniform(0, 400, 2))) for i in ids],
-        )
+        xy = np.array([rng.uniform(0, 400, 2) for _ in ids]).reshape(n, 2)
+        pos = FramePositions(trial + 1, ids, xy)
         naive = set()
-        for (ia, pa), (ib, pb) in itertools.combinations(pos.entries, 2):
-            if math.sqrt((pa.xw - pb.xw) ** 2 + (pa.yw - pb.yw) ** 2) <= policy.r:
+        for (ia, pa), (ib, pb) in itertools.combinations(zip(pos.ids, pos.xy.tolist()), 2):
+            if math.sqrt((pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2) <= policy.r:
                 naive.add((min(ia, ib), max(ia, ib)))
         found = pairwise_violations(pos, policy)
-        assert found == naive
+        assert {tuple(sorted((ids[a], ids[b]))) for a, b in found.tolist()} == naive
         labels = classify_zones(pos, found, CoupleRegistry(), policy)
         assert set(labels) == set(ids)
         stats = frame_stats(labels)
         assert stats.total == stats.red + 2 * stats.yellow_pairs + stats.green
 
-    assert violation(GroundPoint(0, 0), GroundPoint(0, 20), 20.0) == 1
-    assert violation(GroundPoint(0, 0), GroundPoint(0, 20.0000001), 20.0) == 0
+    def pair_at(y: float) -> FramePositions:
+        return FramePositions(1, [1, 2], np.array([[0.0, 0.0], [0.0, y]]))
+
+    assert pairwise_violations(pair_at(20.0), policy).tolist() == [[0, 1]]
+    assert len(pairwise_violations(pair_at(20.0 + 1e-7), policy)) == 0
 
 
 @criterion("couple rule: 150 frames couples, 100 frames does not, 1.5 m never")
@@ -264,11 +269,8 @@ def test_couple_rule():
     def run(frames: int, separation_m: float) -> bool:
         registry = CoupleRegistry()
         for k in range(frames):
-            pos = FramePositions.from_pairs(
-                k + 1,
-                [(1, GroundPoint(0, 0)), (2, GroundPoint(separation_m * policy.xi, 0))],
-            )
-            update_couples(registry, pos, policy)
+            xy = np.array([[0.0, 0.0], [separation_m * policy.xi, 0.0]])
+            update_couples(registry, FramePositions(k + 1, [1, 2], xy), policy)
         return registry.is_couple(1, 2, policy)
 
     assert run(150, 0.5) is True  # 150 > 125 qualifying frames
@@ -280,14 +282,12 @@ def test_couple_rule():
 def test_risk_grids():
     grid = RiskGrid(64, 64)
     for k in range(500):
-        accumulate_tracking(
-            grid, FramePositions.from_pairs(k + 1, [(1, GroundPoint(32, 32))])
-        )
+        accumulate_tracking(grid, FramePositions(k + 1, [1], np.array([[32.0, 32.0]])))
     assert grid.values.sum() == 6.0 * 500
 
     crowd = CrowdGrid(64, 64, decay_gamma=0.99)
     for k in range(2000):
-        crowd_step(crowd, FramePositions.from_pairs(k + 1, [(1, GroundPoint(32, 32))]))
+        crowd_step(crowd, FramePositions(k + 1, [1], np.array([[32.0, 32.0]])))
     limit = 2.0 / (1.0 - 0.99)
     assert abs(crowd.values[32, 32] - limit) / limit < 0.01
 

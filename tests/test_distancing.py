@@ -1,9 +1,14 @@
-"""Distance rules: violation function, couple counters, zone labels."""
+"""Distance rules: violation pairs, couple counters, zone labels.
+
+The rules name people by their row in `FramePositions`; the oracles here
+iterate (id, point) pairs and compare id-pair sets built from those rows.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,44 +23,59 @@ from crowdrisk.distancing import (
     frame_stats,
     pairwise_violations,
     update_couples,
-    violation,
 )
-from crowdrisk.geometry import GroundPoint
 
 # Oxford-town-centre style calibration: 10 BEV px per 0.98 m, r = 20 px.
 OTC = DistancePolicy(xi=10.0 / 0.98, r=20.0, couple_d=1.0, couple_eps=5.0, fps=25.0)
+NO_PAIRS = np.zeros((0, 2), dtype=np.int64)
 
 
 def frame(entries: list[tuple[int, tuple[float, float]]], idx: int = 1) -> FramePositions:
-    return FramePositions.from_pairs(idx, [(i, GroundPoint(*p)) for i, p in entries])
+    xy = np.array([p for _, p in entries], dtype=float).reshape(len(entries), 2)
+    return FramePositions(idx, [i for i, _ in entries], xy)
+
+
+def id_pairs(pos: FramePositions, rows: np.ndarray) -> set[tuple[int, int]]:
+    """The (k, 2) row pairs of `pos` as a set of (id_a < id_b) pairs."""
+    assert rows.shape == (len(rows), 2) and (rows[:, 0] < rows[:, 1]).all()
+    return {tuple(sorted((pos.ids[a], pos.ids[b]))) for a, b in rows.tolist()}
+
+
+def violations_of(pos: FramePositions, policy: DistancePolicy = OTC) -> set[tuple[int, int]]:
+    return id_pairs(pos, pairwise_violations(pos, policy))
 
 
 def naive_violations(pos: FramePositions, r: float) -> set[tuple[int, int]]:
     """Independent O(n^2) pass over all pairs."""
     out = set()
-    for (ia, pa), (ib, pb) in itertools.combinations(pos.entries, 2):
-        if math.sqrt((pa.xw - pb.xw) ** 2 + (pa.yw - pb.yw) ** 2) <= r:
+    for (ia, pa), (ib, pb) in itertools.combinations(zip(pos.ids, pos.xy.tolist()), 2):
+        if math.sqrt((pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2) <= r:
             out.add((min(ia, ib), max(ia, ib)))
     return out
 
 
+def violation(p, q, r: float) -> int:
+    """The rule for one pair of points: pairwise_violations on a two-person frame."""
+    return len(pairwise_violations(frame([(1, p), (2, q)]), DistancePolicy(xi=1.0, r=r)))
+
+
 class TestViolation:
     def test_coincident_points(self):
-        p = GroundPoint(3, 4)
+        p = (3, 4)
         assert violation(p, p, 5) == 1
 
     def test_within_otc_threshold(self):
-        assert violation(GroundPoint(0, 0), GroundPoint(0, 19), 20) == 1
+        assert violation((0, 0), (0, 19), 20) == 1
 
     def test_boundary_distance_counts(self):
-        assert violation(GroundPoint(0, 0), GroundPoint(0, 20), 20) == 1
-        assert violation(GroundPoint(0, 0), GroundPoint(0, 20.000001), 20) == 0
+        assert violation((0, 0), (0, 20), 20) == 1
+        assert violation((0, 0), (0, 20.000001), 20) == 0
 
     def test_symmetry_and_reflexivity(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
-            p = GroundPoint(*rng.uniform(-100, 100, 2))
-            q = GroundPoint(*rng.uniform(-100, 100, 2))
+            p = tuple(rng.uniform(-100, 100, 2))
+            q = tuple(rng.uniform(-100, 100, 2))
             r = float(rng.uniform(0.1, 50))
             assert violation(p, q, r) == violation(q, p, r)
             assert violation(p, p, r) == 1
@@ -63,8 +83,8 @@ class TestViolation:
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
-            p = GroundPoint(*rng.uniform(-50, 50, 2))
-            q = GroundPoint(*rng.uniform(-50, 50, 2))
+            p = tuple(rng.uniform(-50, 50, 2))
+            q = tuple(rng.uniform(-50, 50, 2))
             r1 = float(rng.uniform(0.1, 40))
             r2 = r1 + float(rng.uniform(0, 40))
             if violation(p, q, r1):
@@ -73,16 +93,22 @@ class TestViolation:
 
 class TestPairwiseViolations:
     def test_single_person(self):
-        assert pairwise_violations(frame([(1, (0, 0))]), OTC) == set()
+        assert pairwise_violations(frame([(1, (0, 0))]), OTC).shape == (0, 2)
+        assert pairwise_violations(frame([]), OTC).shape == (0, 2)
 
     def test_collinear_chain(self):
         pos = frame([(1, (0, 0)), (2, (0, 15)), (3, (0, 30))])
-        assert pairwise_violations(pos, OTC) == {(1, 2), (2, 3)}
+        assert pairwise_violations(pos, OTC).tolist() == [[0, 1], [1, 2]]
+
+    def test_rows_not_ids(self):
+        pos = frame([(9, (0, 0)), (4, (50, 0)), (7, (0, 15))])
+        assert pairwise_violations(pos, OTC).tolist() == [[0, 2]]
+        assert violations_of(pos) == {(7, 9)}
 
     def test_otc_ten_pixels_is_violation(self):
         # 98 cm apart -> 10 BEV px, under the 20 px threshold
         pos = frame([(1, (0, 0)), (2, (0, 0.98 * OTC.xi))])
-        assert pairwise_violations(pos, OTC) == {(1, 2)}
+        assert violations_of(pos) == {(1, 2)}
 
     def test_matches_naive_recompute(self):
         rng = np.random.default_rng(12)
@@ -90,7 +116,12 @@ class TestPairwiseViolations:
             n = int(rng.integers(0, 30))
             ids = rng.choice(1000, size=n, replace=False)
             pos = frame([(int(i), tuple(rng.uniform(0, 200, 2))) for i in ids])
-            assert pairwise_violations(pos, OTC) == naive_violations(pos, OTC.r)
+            assert violations_of(pos) == naive_violations(pos, OTC.r)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2)])
+    def test_positions_reject_wrong_width(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(n, 2) array, got shape {shape}")):
+            FramePositions(1, [1, 2], np.ones(shape))
 
 
 class TestCoupleRule:
@@ -151,7 +182,7 @@ def make_couple(id_a: int = 1, id_b: int = 2) -> CoupleRegistry:
 
 class TestClassifyZones:
     def test_lone_person_is_green(self):
-        labels = classify_zones(frame([(1, (0, 0))]), set(), CoupleRegistry(), OTC)
+        labels = classify_zones(frame([(1, (0, 0))]), NO_PAIRS, CoupleRegistry(), OTC)
         assert labels == {1: ZoneLabel.SAFE}
 
     def test_distant_neighbors_green(self):
@@ -182,7 +213,7 @@ class TestClassifyZones:
         d_c = 1.8 * policy.xi  # partners 18 px apart, midpoint at (9, 0)
         pos = frame([(1, (0, 0)), (2, (d_c, 0)), (3, (9.0, 27.0))])
         # pairwise: dist(1,3)=sqrt(81+729)=28.5 > r, dist(2,3) same by symmetry
-        assert pairwise_violations(pos, policy) == {(1, 2)}
+        assert violations_of(pos, policy) == {(1, 2)}
         labels = classify_zones(pos, pairwise_violations(pos, policy), make_couple(), policy)
         assert set(labels.values()) == {ZoneLabel.HIGH_RISK}  # 27 <= 20 + 9
 
@@ -193,7 +224,7 @@ class TestClassifyZones:
         registry = make_couple(1, 2)
         registry._counters[(3, 4)] = 10_000
         pos = frame([(1, (0, 0)), (2, (8, 0)), (3, (0, 21)), (4, (8, 21))])
-        assert pairwise_violations(pos, policy) == {(1, 2), (3, 4)}
+        assert violations_of(pos, policy) == {(1, 2), (3, 4)}
         labels = classify_zones(pos, pairwise_violations(pos, policy), registry, policy)
         assert set(labels.values()) == {ZoneLabel.HIGH_RISK}
 
@@ -207,7 +238,7 @@ class TestClassifyZones:
 
     def test_partner_exempt_from_mutual_violation(self):
         pos = frame([(1, (0, 0)), (2, (5, 0))])
-        assert pairwise_violations(pos, OTC) == {(1, 2)}
+        assert violations_of(pos) == {(1, 2)}
         labels = classify_zones(pos, pairwise_violations(pos, OTC), make_couple(), OTC)
         assert set(labels.values()) == {ZoneLabel.POTENTIALLY_RISKY}
 
@@ -217,8 +248,10 @@ class TestClassifyZones:
         assert set(labels.values()) == {ZoneLabel.HIGH_RISK}
 
     def test_unknown_id_in_violations_raises(self):
-        with pytest.raises(ValueError):
-            classify_zones(frame([(1, (0, 0))]), {(1, 2)}, CoupleRegistry(), OTC)
+        # a violation row outside 0..n-1 names nobody in the frame
+        for rows in ([[0, 1]], [[-1, 0]]):
+            with pytest.raises(ValueError, match="outside 0..0"):
+                classify_zones(frame([(1, (0, 0))]), np.array(rows), CoupleRegistry(), OTC)
 
     def test_third_wheel_forms_no_triple(self):
         policy = DistancePolicy(xi=10.0, r=20.0)
@@ -226,7 +259,7 @@ class TestClassifyZones:
         registry._counters[(2, 3)] = 10_000  # also flagged, but 1-2 is closer
         pos = frame([(1, (0, 0)), (2, (6, 0)), (3, (14, 0))])
         partner = exclusive_couples(registry, pos, policy)
-        assert partner == {1: 2, 2: 1}
+        assert partner.tolist() == [1, 0, -1]
         labels = classify_zones(pos, pairwise_violations(pos, policy), registry, policy)
         # person 3 violates with both members as a non-partner: everyone red
         assert set(labels.values()) == {ZoneLabel.HIGH_RISK}
@@ -244,11 +277,11 @@ class TestClassifyZones:
             violations = pairwise_violations(pos, policy)
             labels = classify_zones(pos, violations, registry, policy)
             partner = exclusive_couples(registry, pos, policy)
-            for a, b in violations:
-                if partner.get(a) != b:
-                    assert labels[a] is ZoneLabel.HIGH_RISK
-                    assert labels[b] is ZoneLabel.HIGH_RISK
-            assert set(labels) == {i for i, _ in pos.entries}
+            for a, b in violations.tolist():
+                if partner[a] != b:
+                    assert labels[pos.ids[a]] is ZoneLabel.HIGH_RISK
+                    assert labels[pos.ids[b]] is ZoneLabel.HIGH_RISK
+            assert set(labels) == set(pos.ids)
 
 
 class TestFrameStats:

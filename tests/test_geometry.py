@@ -8,6 +8,7 @@ matrix products for the camera composition.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import pytest
 from crowdrisk.geometry import (
     BBox,
     CameraModel,
-    GroundPoint,
     HomographyEstimationError,
     HorizonPointError,
     SingularTiltError,
@@ -25,6 +25,7 @@ from crowdrisk.geometry import (
     foot_point,
     intrinsic_matrix,
     iou,
+    iou_matrix,
     project_to_bev,
     rotation_matrix,
     translation_matrix,
@@ -133,13 +134,33 @@ class TestFootPoint:
     @pytest.mark.parametrize(
         "box,expected",
         [
-            (BBox(10, 10, 4, 8), (10, 14)),
-            (BBox(0, 0, 2, 2), (0, 1)),
-            (BBox(100.5, 200.25, 50, 99.5), (100.5, 250.0)),
+            ((10, 10, 4, 8), (10, 14)),
+            ((0, 0, 2, 2), (0, 1)),
+            ((100.5, 200.25, 50, 99.5), (100.5, 250.0)),
         ],
     )
     def test_bottom_edge_midpoint(self, box, expected):
-        assert tuple(foot_point([box])[0]) == expected
+        assert tuple(foot_point(np.array([box]))[0]) == expected
+
+
+class TestBoxArrayShapes:
+    @pytest.mark.parametrize("rows,cols,bad", [
+        ((4, 5), (1, 4), (4, 5)),  # 20 numbers once read as five scrambled boxes
+        ((1, 4), (2, 3), (2, 3)),
+        ((4,), (1, 4), (4,)),
+    ])
+    def test_iou_matrix_rejects_wrong_width(self, rows, cols, bad):
+        with pytest.raises(ValueError, match=re.escape(f"(n, 4) array, got shape {bad}")):
+            iou_matrix(np.ones(rows), np.ones(cols))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4,)])
+    def test_foot_point_rejects_wrong_width(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(n, 4) array, got shape {shape}")):
+            foot_point(np.ones(shape))
+
+    def test_empty_box_arrays(self):
+        assert iou_matrix(np.zeros((0, 4)), np.ones((3, 4))).shape == (0, 3)
+        assert foot_point(np.zeros((0, 4))).shape == (0, 2)
 
 
 class TestBuildProjection:
@@ -257,7 +278,8 @@ class TestEstimateHomography:
             assert np.abs(M_est - M_true).max() < 1e-8
 
     def test_ground_point_destinations_accepted(self):
-        pairs = [(p, GroundPoint(*p)) for p in self.UNIT_SQUARE]
+        # ground points as rows of an (n, 2) array, as project_to_bev returns them
+        pairs = list(zip(self.UNIT_SQUARE, np.array(self.UNIT_SQUARE)))
         assert np.allclose(estimate_homography(pairs), np.eye(3), atol=1e-10)
 
     def test_too_few_points(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from crowdrisk.geometry import BBox, iou_matrix
+from crowdrisk.geometry import BBox, iou, iou_matrix
 from crowdrisk.tracking import (
     DEFAULT_KALMAN,
     TRANSITION,
@@ -33,9 +33,10 @@ def reference_predict(x: np.ndarray, P: np.ndarray, params=DEFAULT_KALMAN):
     return x, (P + P.T) / 2.0
 
 
-def reference_update(x: np.ndarray, P: np.ndarray, box: BBox, params=DEFAULT_KALMAN):
-    """Per-track Joseph-form update on one state against one box."""
-    innovation = np.array([box.cx, box.cy, box.w * box.h, box.w / box.h]) - x[:4]
+def reference_update(x: np.ndarray, P: np.ndarray, box, params=DEFAULT_KALMAN):
+    """Per-track Joseph-form update on one state against one (cx, cy, w, h) box."""
+    cx, cy, w, h = box
+    innovation = np.array([cx, cy, w * h, w / h]) - x[:4]
     S = P[:4, :4] + params.R
     K = np.linalg.solve(S, P[:4]).T
     x = x + K @ innovation
@@ -78,8 +79,9 @@ def test_batched_update_rows_equal_single_calls():
     boxes = random_boxes(rng, N)
     out = kalman_update(batch, measurements_from_boxes(boxes), DEFAULT_KALMAN)
     for i in range(N):
-        one = kalman_update(TrackState(x=batch.x[i], P=batch.P[i]), BBox(*boxes[i]))
-        ref_x, ref_P = reference_update(batch.x[i], batch.P[i], BBox(*boxes[i]))
+        one = kalman_update(TrackState(x=batch.x[i], P=batch.P[i]),
+                            measurements_from_boxes(boxes[i:i + 1])[0])
+        ref_x, ref_P = reference_update(batch.x[i], batch.P[i], boxes[i].tolist())
         assert np.array_equal(out.x[i], one.x) and np.array_equal(out.x[i], ref_x)
         assert np.array_equal(out.P[i], one.P) and np.array_equal(out.P[i], ref_P)
 
@@ -91,11 +93,14 @@ def test_batched_degenerate_flags_rows():
     assert batch.degenerate.tolist() == [False, True, False, True]
 
 
-def test_iou_matrix_arrays_equal_box_lists():
+def test_iou_matrix_cells_equal_scalar_iou():
     rng = np.random.default_rng(4)
     rows, cols = random_boxes(rng, 30), random_boxes(rng, 40)
     rows[:, :2] = cols[:30, :2] + rng.normal(0, 10, (30, 2))  # overlapping pairs
-    from_arrays = iou_matrix(rows, cols)
-    from_lists = iou_matrix([BBox(*b) for b in rows], [BBox(*b) for b in cols])
-    assert np.array_equal(from_arrays, from_lists)
-    assert (from_arrays > 0).any()
+    rows[5] = cols[7]  # one identical pair
+    out = iou_matrix(rows, cols)
+    assert out.shape == (30, 40)
+    for i, a in enumerate(rows.tolist()):
+        for j, b in enumerate(cols.tolist()):
+            assert out[i, j] == iou(BBox(*a), BBox(*b)), (i, j)
+    assert (out > 0).sum() >= 30

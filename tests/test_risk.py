@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from crowdrisk.distancing import FramePositions, ZoneLabel
-from crowdrisk.geometry import GroundPoint
 from crowdrisk.risk import (
     CrowdGrid,
     LongTermCrowd,
@@ -29,9 +28,8 @@ from crowdrisk.risk import (
 
 
 def positions(points: list[tuple[float, float]], frame: int = 1) -> FramePositions:
-    return FramePositions.from_pairs(
-        frame, [(i, GroundPoint(*p)) for i, p in enumerate(points)]
-    )
+    xy = np.array(points, dtype=float).reshape(len(points), 2)
+    return FramePositions(frame, list(range(len(points))), xy)
 
 
 class TestStampKernel:
@@ -204,10 +202,10 @@ class TestCrowdGrid:
 
 def stamp_loop(grid: RiskGrid, pos: FramePositions, ids=None) -> None:
     """Reference: one scalar stamp_kernel call per person, in row order."""
-    for tid, p in pos.entries:
+    for tid, (xw, yw) in zip(pos.ids, pos.xy.tolist()):
         if ids is None or tid in ids:
-            stamp_kernel(grid, (math.floor(p.xw / grid.cell_scale),
-                                math.floor(p.yw / grid.cell_scale)))
+            stamp_kernel(grid, (math.floor(xw / grid.cell_scale),
+                                math.floor(yw / grid.cell_scale)))
 
 
 def crowded_frame(rng, width: int, height: int, scale: float, frame: int) -> FramePositions:

@@ -7,6 +7,7 @@ walker advancing a fixed number of pixels per frame, with exact boxes.
 from __future__ import annotations
 
 import os
+import re
 import sys
 
 import numpy as np
@@ -14,22 +15,21 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from synthetic import box_rows, measure, state_from_box  # noqa: E402
 from test_assignment import brute_force  # noqa: E402
 
 from crowdrisk.assignment import solve_assignment
-from crowdrisk.geometry import BBox, iou_matrix
+from crowdrisk.geometry import BBox, iou, iou_matrix
 from crowdrisk.tracking import (
     KalmanParams,
     NumericalUpdateError,
     SequencingError,
     Tracker,
     TrackState,
-    TrackStatus,
     associate,
     format_mot_line,
     kalman_predict,
     kalman_update,
-    measurement_from_bbox,
 )
 
 # Exact measurements cannot use a strictly zero measurement noise past full
@@ -38,8 +38,8 @@ from crowdrisk.tracking import (
 NOISELESS = KalmanParams(meas_noise=(1e-12,) * 4, process_noise=(0.0,) * 7)
 
 
-def walker_box(frame: int, speed: float = 2.0, v: float = 50.0) -> BBox:
-    return BBox(speed * frame, v, 10.0, 20.0)
+def walker_box(frame: int, speed: float = 2.0, v: float = 50.0) -> tuple[float, ...]:
+    return (speed * frame, v, 10.0, 20.0)
 
 
 class TestKalmanPredict:
@@ -50,7 +50,7 @@ class TestKalmanPredict:
         assert out.x[4:].tolist() == [1.0, 2.0, 0.0]
 
     def test_zero_velocity_fixed_point(self):
-        state = TrackState.from_bbox(BBox(5, 5, 2, 2))
+        state = state_from_box((5, 5, 2, 2))
         out = kalman_predict(state)
         assert np.array_equal(out.x, state.x)
         assert np.all(np.diag(out.P) >= np.diag(state.P))  # covariance grows by Q
@@ -63,48 +63,48 @@ class TestKalmanPredict:
 
     def test_covariance_symmetry(self):
         rng = np.random.default_rng(2)
-        state = TrackState.from_bbox(BBox(0, 0, 3, 7))
+        state = state_from_box((0, 0, 3, 7))
         for k in range(30):
             state = kalman_predict(state)
             assert np.abs(state.P - state.P.T).max() < 1e-9
             if k % 3 == 0:
-                state = kalman_update(state, BBox(*rng.uniform(1, 9, 2), 3, 7))
+                state = kalman_update(state, measure((*rng.uniform(1, 9, 2), 3, 7)))
                 assert np.abs(state.P - state.P.T).max() < 1e-9
 
 
 class TestKalmanUpdate:
     def test_measurement_equal_to_prediction_keeps_mean(self):
-        box = BBox(4, 6, 3, 5)
-        state = TrackState.from_bbox(box)
-        out = kalman_update(state, box)
+        box = (4, 6, 3, 5)
+        state = state_from_box(box)
+        out = kalman_update(state, measure(box))
         assert np.allclose(out.x, state.x, atol=1e-12)
 
     def test_huge_prior_variance_measurement_dominates(self):
         params = KalmanParams(init_state_var=1e9)
-        state = TrackState.from_bbox(BBox(0, 0, 2, 2), params)
-        out = kalman_update(state, BBox(10, 0, 2, 2), params)
+        state = state_from_box((0, 0, 2, 2), params)
+        out = kalman_update(state, measure((10, 0, 2, 2)), params)
         assert abs(out.u - 10.0) < 1e-6
 
     def test_zero_noise_posterior_equals_measurement(self):
         params = KalmanParams(meas_noise=(0.0,) * 4)
-        state = TrackState.from_bbox(BBox(0, 0, 4, 4), params)
-        meas = BBox(10, 3, 6, 2)
+        state = state_from_box((0, 0, 4, 4), params)
+        meas = measure((10, 3, 6, 2))
         out = kalman_update(state, meas, params)
-        assert np.allclose(out.x[:4], measurement_from_bbox(meas), atol=1e-12)
+        assert np.allclose(out.x[:4], [10, 3, 12, 3], atol=1e-12)
 
     def test_velocity_estimate_converges_on_walker(self):
-        state = TrackState.from_bbox(walker_box(0))
+        state = state_from_box(walker_box(0))
         for frame in range(1, 11):
             state = kalman_predict(state)
-            state = kalman_update(state, walker_box(frame))
+            state = kalman_update(state, measure(walker_box(frame)))
         assert abs(state.du - 2.0) < 0.1
 
     def test_noiseless_consistency(self):
-        state = TrackState.from_bbox(walker_box(0), NOISELESS)
+        state = state_from_box(walker_box(0), NOISELESS)
         errors = []
         for frame in range(1, 11):
             state = kalman_predict(state, NOISELESS)
-            state = kalman_update(state, walker_box(frame), NOISELESS)
+            state = kalman_update(state, measure(walker_box(frame)), NOISELESS)
             errors.append(abs(state.u - 2.0 * frame))
             assert np.abs(state.P - state.P.T).max() < 1e-9
         assert errors[9] < 1e-6
@@ -113,44 +113,43 @@ class TestKalmanUpdate:
 
     def test_singular_innovation_raises(self):
         params = KalmanParams(meas_noise=(0.0,) * 4, process_noise=(0.0,) * 7)
-        state = TrackState.from_bbox(walker_box(0), params)
+        state = state_from_box(walker_box(0), params)
         with pytest.raises(NumericalUpdateError):
             for frame in range(1, 6):
                 state = kalman_predict(state, params)
-                state = kalman_update(state, walker_box(frame), params)
+                state = kalman_update(state, measure(walker_box(frame)), params)
 
 
 class TestAssociate:
     def test_identical_box_matches(self):
-        box = BBox(5, 5, 4, 4)
-        out = associate([box], [box], iou_gate=0.3)
+        box = np.array([[5, 5, 4, 4]])
+        out = associate(box, box, iou_gate=0.3)
         assert out.matches == [(0, 0)]
 
     def test_disjoint_boxes_unmatched(self):
-        out = associate([BBox(0, 0, 2, 2)], [BBox(50, 50, 2, 2)], iou_gate=0.3)
+        out = associate(np.array([[0, 0, 2, 2]]), np.array([[50, 50, 2, 2]]), iou_gate=0.3)
         assert out.matches == []
         assert out.unmatched_tracks == [0]
         assert out.unmatched_detections == [0]
 
     def test_crossing_pairs_resolved_by_overlap(self):
         # two tracks and two detections; diagonal IoUs dominate
-        tracks = [BBox(0, 0, 10, 10), BBox(20, 0, 10, 10)]
-        dets = [BBox(2, 0, 10, 10), BBox(22, 0, 10, 10)]
+        tracks = np.array([[0, 0, 10, 10], [20, 0, 10, 10]], dtype=float)
+        dets = np.array([[2, 0, 10, 10], [22, 0, 10, 10]], dtype=float)
         out = associate(tracks, dets, iou_gate=0.3)
         assert sorted(out.matches) == [(0, 0), (1, 1)]
-        # brute force over both pairings on the same cost
-        from crowdrisk.geometry import iou as _iou
-
-        straight = _iou(tracks[0], dets[0]) + _iou(tracks[1], dets[1])
-        crossed = _iou(tracks[0], dets[1]) + _iou(tracks[1], dets[0])
+        # brute force over both pairings on the same cost, with the scalar iou
+        t, d = [BBox(*b) for b in tracks], [BBox(*b) for b in dets]
+        straight = iou(t[0], d[0]) + iou(t[1], d[1])
+        crossed = iou(t[0], d[1]) + iou(t[1], d[0])
         assert straight > crossed
 
     def test_gate_forbids_weak_pairs(self):
-        out = associate([BBox(0, 0, 10, 10)], [BBox(9, 0, 10, 10)], iou_gate=0.3)
+        out = associate(np.array([[0, 0, 10, 10]]), np.array([[9, 0, 10, 10]]), iou_gate=0.3)
         assert out.matches == []  # IoU 1/19 < 0.3, solver pairing stripped
 
     def test_empty_inputs(self):
-        out = associate([], [], iou_gate=0.3)
+        out = associate(np.zeros((0, 4)), np.zeros((0, 4)), iou_gate=0.3)
         assert out.matches == []
 
 
@@ -200,49 +199,49 @@ class TestAssociateAgainstBruteForce:
 class TestTrackerLifecycle:
     def test_steady_box_confirms_with_stable_id(self):
         tracker = Tracker(min_hits=3)
-        box = BBox(50, 50, 10, 20)
-        assert len(tracker.step([box], 1)) == 0
-        assert len(tracker.step([box], 2)) == 0
-        out = tracker.step([box], 3)
+        box = box_rows((50, 50, 10, 20))
+        assert len(tracker.step(box, 1)) == 0
+        assert len(tracker.step(box, 2)) == 0
+        out = tracker.step(box, 3)
         assert len(out) == 1
         assert out.ids[0] == 1
         for frame in range(4, 10):
-            out = tracker.step([box], frame)
+            out = tracker.step(box, frame)
             assert out.ids.tolist() == [1]
 
     def test_gap_of_max_age_preserves_id(self):
         tracker = Tracker(min_hits=1, max_age=5)
-        box = BBox(50, 50, 10, 20)
+        box = box_rows((50, 50, 10, 20))
         for frame in range(1, 4):
-            out = tracker.step([box], frame)
+            out = tracker.step(box, frame)
         assert out.ids[0] == 1
         frame = 4
         for _ in range(5):  # exactly max_age missed frames
             tracker.step([], frame)
             frame += 1
         assert not tracker.idle
-        out = tracker.step([box], frame)
+        out = tracker.step(box, frame)
         assert out.ids.tolist() == [1]
 
     def test_gap_of_max_age_plus_one_reassigns(self):
         tracker = Tracker(min_hits=1, max_age=5)
         assert tracker.idle
-        box = BBox(50, 50, 10, 20)
+        box = box_rows((50, 50, 10, 20))
         for frame in range(1, 4):
-            tracker.step([box], frame)
+            tracker.step(box, frame)
         frame = 4
         for _ in range(6):  # max_age + 1 missed frames
             tracker.step([], frame)
             frame += 1
         assert tracker.idle
-        out = tracker.step([box], frame)
+        out = tracker.step(box, frame)
         assert out.ids.tolist() == [2]
 
     def test_two_parallel_walkers_no_switches(self):
         tracker = Tracker(min_hits=3, max_age=10)
         ids_by_lane: dict[float, set[int]] = {50.0: set(), 300.0: set()}
         for frame in range(1, 101):
-            dets = [walker_box(frame, v=50.0), walker_box(frame, v=300.0)]
+            dets = box_rows(walker_box(frame, v=50.0), walker_box(frame, v=300.0))
             out = tracker.step(dets, frame)
             for tid, cy in zip(out.ids.tolist(), out.boxes[:, 1].tolist()):
                 lane = min(ids_by_lane, key=lambda v: abs(cy - v))
@@ -265,9 +264,7 @@ class TestTrackerLifecycle:
         rng = np.random.default_rng(31)
         for frame in range(1, 40):
             # far-apart short-lived boxes: every appearance spawns a new id
-            dets = (
-                [BBox(float(rng.integers(0, 5000)), 50, 10, 10)] if frame % 2 else []
-            )
+            dets = box_rows((float(rng.integers(0, 5000)), 50, 10, 10)) if frame % 2 else []
             seen.extend(tracker.step(dets, frame).ids.tolist())
         assert seen == sorted(set(seen))
 
@@ -277,10 +274,10 @@ class TestTrackerLifecycle:
             lines = []
             rng = np.random.default_rng(8)
             for frame in range(1, 60):
-                dets = [
-                    BBox(10.0 * k + rng.uniform(-1, 1), 50 + rng.uniform(-1, 1), 8, 16)
+                dets = box_rows(*(
+                    (10.0 * k + rng.uniform(-1, 1), 50 + rng.uniform(-1, 1), 8, 16)
                     for k in range(4)
-                ]
+                ))
                 out = tracker.step(dets, frame)
                 lines.append(format_mot_line(frame, out.ids.tolist(), out.boxes, out.conf))
             return lines
@@ -289,24 +286,39 @@ class TestTrackerLifecycle:
 
     def test_snapshot_ground_is_projected_foot_point(self):
         tracker = Tracker(projection=np.eye(3), min_hits=1)
-        out = tracker.step([BBox(10, 10, 4, 8)], 1)
+        out = tracker.step(box_rows((10, 10, 4, 8)), 1)
         # foot point of the posterior box: first update equals the measurement
         assert out.ground[0, 0] == pytest.approx(10.0, abs=1e-9)
         assert out.ground[0, 1] == pytest.approx(14.0, abs=1e-9)
 
     def test_tracks_view_reports_lifecycle(self):
         tracker = Tracker(min_hits=2)
-        box = BBox(50, 50, 10, 20, 0.8)
-        tracker.step([box], 1)
-        (track,) = tracker.tracks
-        assert (track.id, track.hits, track.age, track.status) == (1, 1, 0, TrackStatus.TENTATIVE)
-        tracker.step([box], 2)
+        box = box_rows((50, 50, 10, 20), conf=0.8)
+        tracker.step(box, 1)
+        t = tracker.tracks
+        assert (t.id.tolist(), t.hits.tolist(), t.age.tolist()) == ([1], [1], [0])
+        assert t.confirmed.tolist() == [False]
+        tracker.step(box, 2)
         tracker.step([], 3)
-        (track,) = tracker.tracks
-        assert (track.hits, track.age, track.time_since_update) == (2, 2, 1)
-        assert track.status is TrackStatus.CONFIRMED
-        assert track.conf == 0.8
-        assert track.state.x.shape == (7,)
+        t = tracker.tracks
+        assert (t.hits.tolist(), t.age.tolist(), t.time_since_update.tolist()) == ([2], [2], [1])
+        assert t.confirmed.tolist() == [True]
+        assert t.conf.tolist() == [0.8]
+        assert t.x.shape == (1, 7) and t.P.shape == (1, 7, 7)
+        t.x[:] = 0.0  # a copy: the tracker's own arrays stay as they were
+        assert tracker.tracks.x[0, 0] == 50.0
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[10.0, 10.0, 4.0, 8.0]] * 5),  # the conf column forgotten
+        np.array([10.0, 10.0, 4.0, 8.0, 0.9]),  # one row, not an (m, 5) array
+        np.zeros((2, 6)),
+    ])
+    def test_wrong_width_detections_rejected(self, rows):
+        tracker = Tracker(min_hits=1)
+        with pytest.raises(ValueError, match=rf"\(n, 5\).*{re.escape(str(rows.shape))}"):
+            tracker.step(rows, 1)
+        assert tracker.idle
+        assert len(tracker.step(box_rows((10, 10, 4, 8)), 1)) == 1  # frame 1 not consumed
 
 
 def mot_line_fstring(frame: int, track_id: int, box, conf: float) -> str:
