@@ -209,27 +209,27 @@ def classify_zones(
     red[a[breach]] = red[b[breach]] = True
 
     # Couple-level checks: midpoint circles against outsiders and other couples.
-    ids = np.asarray(pos.ids, dtype=np.int64)
-    first = np.flatnonzero((mate >= 0) & (ids < ids[mate]))  # lower-id member of each couple
-    if len(first):
+    paired = mate >= 0
+    if paired.any():
+        ids = np.asarray(pos.ids, dtype=np.int64)
+        first = np.flatnonzero(paired & (ids < ids[mate]))  # lower-id member of each couple
         # couples in id-pair order: each lower id belongs to one couple only
         ia = first[np.argsort(ids[first], kind="stable")]
         ib = mate[ia]
         mids = (pos.xy[ia] + pos.xy[ib]) / 2.0
         d_c = pos.distances[ia, ib]  # current partner separations
         radius = policy.r + d_c / 2.0
-        near = (ground_distances(mids, pos.xy) <= radius[:, None]) & (mate < 0)
+        near = (ground_distances(mids, pos.xy) <= radius[:, None]) & ~paired
         red |= near.any(axis=0)
         hit = near.any(axis=1)
         # each pair of couples once, the earlier couple's circle first
         touching = np.triu(ground_distances(mids, mids) <= radius[:, None] + d_c / 2.0, k=1)
         hit |= touching.any(axis=1) | touching.any(axis=0)
         red[ia[hit]] = red[ib[hit]] = True
+        # A red partner drags the other member of the couple along.
+        red[mate[red & paired]] = True
 
-    # A red partner drags the other member of the couple along.
-    red[mate[red & (mate >= 0)]] = True
-
-    codes = np.where(red, 2, mate >= 0)
+    codes = np.where(red, 2, paired)
     return dict(zip(pos.ids, map(_ZONES.__getitem__, codes.tolist())))
 
 
