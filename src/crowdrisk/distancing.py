@@ -108,7 +108,8 @@ def ground_distances(a, b) -> np.ndarray:
 
 def _close_pairs(pos: FramePositions, limit: float) -> np.ndarray:
     """(k, 2) row pairs (a < b) at most `limit` apart, in row-major order."""
-    return np.argwhere(np.triu(pos.distances <= limit, k=1))
+    pairs = np.argwhere(pos.distances <= limit)
+    return pairs[pairs[:, 0] < pairs[:, 1]]
 
 
 def pairwise_violations(pos: FramePositions, policy: DistancePolicy) -> np.ndarray:
@@ -149,9 +150,9 @@ def update_couples(
     registry: CoupleRegistry, pos: FramePositions, policy: DistancePolicy
 ) -> CoupleRegistry:
     """Advance the couple counters with one frame of positions."""
-    ids = np.asarray(pos.ids, dtype=np.int64)
-    pairs = np.sort(ids[_close_pairs(pos, policy.couple_d_px)], axis=1)
-    registry._advance(map(tuple, pairs.tolist()))
+    ids = pos.ids
+    rows = _close_pairs(pos, policy.couple_d_px).tolist()
+    registry._advance(_ordered(ids[a], ids[b]) for a, b in rows)
     return registry
 
 
