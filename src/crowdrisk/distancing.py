@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,7 @@ class CoupleRegistry:
     def is_couple(self, id_a: int, id_b: int, policy: DistancePolicy) -> bool:
         return self.counter(id_a, id_b) > policy.couple_frames
 
-    def _advance(self, near_pairs: set[tuple[int, int]]) -> None:
+    def _advance(self, near_pairs: Iterable[tuple[int, int]]) -> None:
         self._counters = {pair: self._counters.get(pair, 0) + 1 for pair in near_pairs}
 
 

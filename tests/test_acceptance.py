@@ -20,13 +20,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from synthetic import (  # noqa: E402
-    box_rows,
-    crowd_stream_lines,
-    measure,
-    scene_config,
-    state_from_box,
-)
+from boxes import box_rows, measure, state_from_box  # noqa: E402
+from synthetic import crowd_stream_lines, scene_config  # noqa: E402
 
 from crowdrisk.assignment import solve_assignment
 from crowdrisk.config import load_config

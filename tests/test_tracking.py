@@ -15,7 +15,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from synthetic import box_rows, measure, state_from_box  # noqa: E402
+from boxes import box_rows, measure, state_from_box  # noqa: E402
 from test_assignment import brute_force  # noqa: E402
 
 from crowdrisk.assignment import solve_assignment
