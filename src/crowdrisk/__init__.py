@@ -27,7 +27,6 @@ from .distancing import (
 )
 from .geometry import (
     BBox,
-    CameraModel,
     CIoUBreakdown,
     build_projection,
     ciou_loss,
@@ -35,6 +34,7 @@ from .geometry import (
     foot_point,
     iou,
     project_to_bev,
+    projection_matrix,
 )
 from .pipeline import FrameReport, PipelineError, PipelineSummary, run_pipeline
 from .risk import (

@@ -102,8 +102,7 @@ def ground_distances(a, b) -> np.ndarray:
     The one distance definition of this module, so the scalar rule and the
     per-frame matrices round alike.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    a, b = as_rows(a, 2, "a"), as_rows(b, 2, "b")
     return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 

@@ -1,15 +1,16 @@
 """Bounding-box metrics and image-to-ground-plane projection.
 
 Boxes are stored in center format (cx, cy, w, h); corner conversion is an
-explicit helper, never implicit.  The ground-plane mapping is a 3x3
-projective matrix M, either derived from camera intrinsics/extrinsics or
-supplied directly (e.g. from point-correspondence calibration).
+explicit helper, never implicit.  The ground-plane mapping is a plain 3x3
+float array M: `build_projection` derives it from the camera intrinsics,
+tilt and height, and `projection_matrix` checks one supplied directly (e.g.
+from point-correspondence calibration).  Every IoU is clamped to at most 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +77,8 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = iw * ih
     union = a.area() + b.area() - inter
-    return inter / union
+    # corner differences can round above w and h, so identical boxes may pass 1
+    return min(inter / union, 1.0)
 
 
 def as_rows(a, width: int, name: str) -> np.ndarray:
@@ -100,7 +102,7 @@ def iou_matrix(rows, cols) -> np.ndarray:
     # disjoint pairs get zero overlap, so their IoU is 0 / union = 0
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = (A[:, 2] * A[:, 3])[:, None] + B[:, 2] * B[:, 3] - inter
-    return inter / union
+    return np.minimum(inter / union, 1.0)
 
 
 def ciou_loss(pred: BBox, gt: BBox) -> CIoUBreakdown:
@@ -134,57 +136,25 @@ def foot_point(boxes) -> np.ndarray:
     return np.stack([B[:, 0], B[:, 1] + B[:, 3] / 2.0], axis=1)
 
 
-@dataclass
-class CameraModel:
-    """Camera intrinsics/extrinsics and the derived 3x3 ground-plane projection.
-
-    Treated as immutable after construction; build once, then share freely.
-    """
-
-    f: float = 1.0
-    ku: float = 1.0
-    kv: float = 1.0
-    skew: float = 0.0
-    cx: float = 0.0
-    cy: float = 0.0
-    theta: float = 0.0
-    height: float = 1.0
-    M: np.ndarray | None = field(default=None)
-
-    @classmethod
-    def from_intrinsics(
-        cls,
-        f: float,
-        ku: float,
-        kv: float,
-        cx: float,
-        cy: float,
-        theta: float,
-        height: float,
-        skew: float = 0.0,
-    ) -> "CameraModel":
-        cam = cls(f=f, ku=ku, kv=kv, skew=skew, cx=cx, cy=cy, theta=theta, height=height)
-        build_projection(cam)
-        return cam
-
-    @classmethod
-    def from_matrix(cls, M: np.ndarray) -> "CameraModel":
-        M = np.asarray(M, dtype=float)
-        if M.shape != (3, 3):
-            raise ValueError(f"projection matrix must be 3x3, got {M.shape}")
-        if abs(np.linalg.det(M)) <= SINGULARITY_TOL:
-            raise ValueError("projection matrix is singular")
-        cam = cls()
-        cam.M = M
-        return cam
+def projection_matrix(M) -> np.ndarray:
+    """M as a float 3x3 ground-plane projection; ValueError unless finite and regular."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (3, 3):
+        raise ValueError(f"projection matrix must be 3x3, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("projection matrix must be finite")
+    if abs(np.linalg.det(M)) <= SINGULARITY_TOL:
+        raise ValueError("projection matrix is singular")
+    return M
 
 
-def intrinsic_matrix(cam: CameraModel) -> np.ndarray:
+def intrinsic_matrix(f: float, ku: float, kv: float, cx: float, cy: float,
+                     skew: float) -> np.ndarray:
     """3x4 intrinsic matrix K."""
     return np.array(
         [
-            [cam.f * cam.ku, cam.skew, cam.cx, 0.0],
-            [0.0, cam.f * cam.kv, cam.cy, 0.0],
+            [f * ku, skew, cx, 0.0],
+            [0.0, f * kv, cy, 0.0],
             [0.0, 0.0, 1.0, 0.0],
         ]
     )
@@ -213,19 +183,17 @@ def translation_matrix(theta: float, height: float) -> np.ndarray:
     return T
 
 
-def build_projection(cam: CameraModel) -> np.ndarray:
-    """Compose K * R * T, drop the Z column (ground plane Z=0), store as cam.M."""
-    if cam.height <= 0:
-        raise ValueError(f"camera height must be positive, got {cam.height}")
-    K = intrinsic_matrix(cam)
-    R = rotation_matrix(cam.theta)
-    T = translation_matrix(cam.theta, cam.height)
-    P = K @ R @ T  # 3x4
-    M = P[:, [0, 1, 3]]
-    if abs(np.linalg.det(M)) <= SINGULARITY_TOL:
-        raise SingularTiltError("derived projection matrix is singular")
-    cam.M = M
-    return M
+def build_projection(f: float, ku: float, kv: float, cx: float, cy: float,
+                     theta: float, height: float, skew: float) -> np.ndarray:
+    """Compose K * R * T and drop the Z column (ground plane Z=0).
+
+    SingularTiltError at |sin(theta)| < 1e-9; ValueError for height <= 0 or a singular M.
+    """
+    if height <= 0:
+        raise ValueError(f"camera height must be positive, got {height}")
+    K = intrinsic_matrix(f, ku, kv, cx, cy, skew)
+    P = K @ rotation_matrix(theta) @ translation_matrix(theta, height)  # 3x4
+    return projection_matrix(P[:, [0, 1, 3]])
 
 
 def project_to_bev(M: np.ndarray, pts) -> np.ndarray:
@@ -234,7 +202,7 @@ def project_to_bev(M: np.ndarray, pts) -> np.ndarray:
     Raises HorizonPointError for a pixel that maps to infinity, and
     ValueError when a ground point overflows.
     """
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    pts = as_rows(pts, 2, "pts")
     x, y = pts[:, 0], pts[:, 1]
     den = M[2, 0] * x + M[2, 1] * y + M[2, 2]
     horizon = np.abs(den) < SINGULARITY_TOL

@@ -368,9 +368,12 @@ def format_mot_line(frame: int, track_ids, boxes, conf) -> str:
     `track_ids` are n ints, `boxes` an (n, 4) array of center-format
     (cx, cy, w, h) boxes and `conf` n confidences; coordinates and
     confidence are written at 2 decimals (`%.2f` rounds as `format` does).
+    ValueError when the ids, boxes and confidences differ in number.
     """
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    boxes, conf = as_rows(boxes, 4, "boxes").T, np.asarray(conf, dtype=float)
+    if conf.shape != (len(track_ids),) or len(boxes[0]) != len(track_ids):
+        raise ValueError(f"{len(track_ids)} ids, {len(boxes[0])} boxes, conf shape {conf.shape}")
     left_top = (boxes[:2] - boxes[2:] / 2.0).tolist()
-    fields = zip(track_ids, *left_top, *boxes[2:].tolist(), np.asarray(conf, dtype=float).tolist())
+    fields = zip(track_ids, *left_top, *boxes[2:].tolist(), conf.tolist())
     line = f"{frame},%d,%.2f,%.2f,%.2f,%.2f,%.2f,-1,-1,-1\n"
     return line * len(boxes[0]) % tuple(itertools.chain.from_iterable(fields))

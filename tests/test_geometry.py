@@ -15,7 +15,6 @@ import pytest
 
 from crowdrisk.geometry import (
     BBox,
-    CameraModel,
     HomographyEstimationError,
     HorizonPointError,
     SingularTiltError,
@@ -27,6 +26,7 @@ from crowdrisk.geometry import (
     iou,
     iou_matrix,
     project_to_bev,
+    projection_matrix,
     rotation_matrix,
     translation_matrix,
 )
@@ -130,6 +130,23 @@ class TestCIoU:
         assert out.loss == pytest.approx(1.0 - out.iou, abs=1e-12)
 
 
+class TestIoUClamp:
+    def test_identical_boxes_score_at_most_one(self):
+        # drawn as tests/test_kalman_batch.random_boxes; corner differences round
+        # above w and h for about half of them
+        rng = np.random.default_rng(0)
+        boxes = np.column_stack([rng.uniform(0, 1920, (400, 2)), rng.uniform(5, 80, 400),
+                                 rng.uniform(20, 200, 400)])
+        lo, hi = boxes[:, :2] - boxes[:, 2:] / 2.0, boxes[:, :2] + boxes[:, 2:] / 2.0
+        sides = hi - lo
+        assert (sides[:, 0] * sides[:, 1] > boxes[:, 2] * boxes[:, 3]).sum() > 100
+        scalar = np.array([iou(BBox(*box), BBox(*box)) for box in boxes.tolist()])
+        matrix = iou_matrix(boxes, boxes)
+        assert scalar.max() == 1.0
+        assert np.array_equal(np.diag(matrix), scalar)
+        assert matrix.max() == 1.0
+
+
 class TestFootPoint:
     @pytest.mark.parametrize(
         "box,expected",
@@ -158,6 +175,12 @@ class TestBoxArrayShapes:
         with pytest.raises(ValueError, match=re.escape(f"(n, 4) array, got shape {shape}")):
             foot_point(np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(2, 4), (3,), (1, 3)])
+    def test_project_to_bev_rejects_wrong_width(self, shape):
+        # (2, 4) was once read as four points
+        with pytest.raises(ValueError, match=re.escape(f"(n, 2) array, got shape {shape}")):
+            project_to_bev(np.eye(3), np.ones(shape))
+
     def test_empty_box_arrays(self):
         assert iou_matrix(np.zeros((0, 4)), np.ones((3, 4))).shape == (0, 3)
         assert foot_point(np.zeros((0, 4))).shape == (0, 2)
@@ -165,20 +188,16 @@ class TestBoxArrayShapes:
 
 class TestBuildProjection:
     def test_matches_explicit_matrix_product(self):
-        cam = CameraModel(f=1, ku=1, kv=1, skew=0, cx=0, cy=0, theta=math.pi / 2, height=1)
-        M = build_projection(cam)
+        M = build_projection(1, 1, 1, 0, 0, math.pi / 2, 1, 0)
         # independent composition of the same three matrices
-        K = intrinsic_matrix(cam)
+        K = intrinsic_matrix(1, 1, 1, 0, 0, 0)
         R = rotation_matrix(math.pi / 2)
         T = translation_matrix(math.pi / 2, 1.0)
         expected = (K @ R @ T)[:, [0, 1, 3]]
         assert np.allclose(M, expected, atol=1e-15)
-        assert cam.M is M
 
     def test_general_parameters_match_oracle(self):
-        cam = CameraModel(f=800, ku=1.1, kv=0.9, skew=0.3, cx=320, cy=240,
-                          theta=math.radians(35), height=4.2)
-        M = build_projection(cam)
+        M = build_projection(800, 1.1, 0.9, 320, 240, math.radians(35), 4.2, 0.3)
         K = np.array([[800 * 1.1, 0.3, 320, 0], [0, 800 * 0.9, 240, 0], [0, 0, 1, 0]])
         theta = math.radians(35)
         c, s = math.cos(theta), math.sin(theta)
@@ -189,19 +208,37 @@ class TestBuildProjection:
         assert np.allclose(M, expected, rtol=1e-12)
 
     def test_zero_tilt_is_singular(self):
-        cam = CameraModel(theta=0.0, height=1.0)
         with pytest.raises(SingularTiltError):
-            build_projection(cam)
+            build_projection(1, 1, 1, 0, 0, 0.0, 1.0, 0.0)
 
     def test_supplied_matrix_identity(self):
-        cam = CameraModel.from_matrix(np.eye(3))
-        p = project_to_bev(cam.M, [(7.0, 3.0)])
+        p = project_to_bev(projection_matrix(np.eye(3)), [(7.0, 3.0)])
         assert p.tolist() == [[7.0, 3.0]]
 
     def test_nonpositive_height_rejected(self):
-        cam = CameraModel(theta=math.pi / 4, height=0.0)
         with pytest.raises(ValueError):
-            build_projection(cam)
+            build_projection(1, 1, 1, 0, 0, math.pi / 4, 0.0, 0.0)
+
+    def test_zero_focal_length_is_singular(self):
+        with pytest.raises(ValueError, match="singular"):
+            build_projection(0, 1, 1, 0, 0, math.pi / 4, 1.0, 0.0)
+
+
+class TestProjectionMatrix:
+    def test_returns_float_copy_of_list(self):
+        M = projection_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 1]])
+        assert M.dtype == float and np.array_equal(M, np.diag([2.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("M,message", [
+        (np.eye(4), "must be 3x3, got (4, 4)"),
+        (np.ones(9), "must be 3x3, got (9,)"),
+        (np.zeros((3, 3)), "is singular"),
+        (np.diag([1.0, np.nan, 1.0]), "must be finite"),
+        (np.diag([1.0, np.inf, 1.0]), "must be finite"),
+    ])
+    def test_rejects(self, M, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            projection_matrix(M)
 
 
 class TestProjectToBEV:

@@ -334,6 +334,17 @@ class TestMotLine:
         text = format_mot_line(3, [7], np.array([[125.0, 250.0, 50.0, 100.0]]), np.array([0.9]))
         assert text == "3,7,100.00,200.00,50.00,100.00,0.90,-1,-1,-1\n"
 
+    @pytest.mark.parametrize("ids,boxes,conf,message", [
+        ([1, 2], (1, 8), [0.5, 0.5], "(n, 4) array, got shape (1, 8)"),  # once two lines
+        ([1, 2], (1, 4), [0.5], "2 ids, 1 boxes"),  # once dropped id 2
+        ([1], (1, 4), [0.5, 0.5], "conf shape (2,)"),
+        ([1], (1, 4), [[0.5]], "conf shape (1, 1)"),
+        ([1], (4,), [0.5], "(n, 4) array, got shape (4,)"),
+    ])
+    def test_rejects_mismatched_rows(self, ids, boxes, conf, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            format_mot_line(1, ids, np.ones(boxes), conf)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_frame_text_matches_per_line_fstring(self, seed):
         rng = np.random.default_rng(seed)
