@@ -102,7 +102,8 @@ def iou_matrix(rows, cols) -> np.ndarray:
     # disjoint pairs get zero overlap, so their IoU is 0 / union = 0
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = (A[:, 2] * A[:, 3])[:, None] + B[:, 2] * B[:, 3] - inter
-    return np.minimum(inter / union, 1.0)
+    # in place: one more (n, m) temporary is paged in afresh on every call
+    return np.minimum(np.divide(inter, union, out=inter), 1.0, out=inter)
 
 
 def ciou_loss(pred: BBox, gt: BBox) -> CIoUBreakdown:
