@@ -7,9 +7,9 @@ be overridden from the environment as CROWDRISK_<SECTION>_<KEY>.
 
 Each key takes one path to its value: the environment, else the file, else
 its default in `_DEFAULTS`, which holds the defaults of the dataclass fields
-the key fills.  A value is parsed as the type of that default and checked
-where its dataclass is built.  A file section or key that nothing reads is
-an error; the environment is only looked up, so an unknown variable is not.
+the key fills.  A value is parsed as the type of that default and then
+range-checked.  A file key that nothing reads is an error; an environment
+variable is only looked up, so an unknown one is not.
 """
 
 from __future__ import annotations
