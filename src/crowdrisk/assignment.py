@@ -1,11 +1,18 @@
-"""Minimum-cost bipartite assignment (Hungarian method).
+"""Minimum-cost bipartite assignment by shortest augmenting paths.
 
-Rectangular matrices are padded to square with a large sentinel cost and
-sentinel matches are stripped afterwards, so the real side of the smaller
-dimension is always fully matched.  Among equal-cost optima the result is
-the lexicographically smallest match set by (row, column).  The padding
-columns are the indices >= m, so each row prefers its real columns over
-padding (being unmatched) simply by taking columns in ascending order.
+The solver works on the r x c matrix with r = min(n, m) rows, transposing
+when there are more tracks than detections; nothing is padded.  It follows
+Jonker & Volgenant (Computing 38, 1987) in the rectangular form of Crouse
+(IEEE TAES 52(4), 2016): a warm start gives each row the first column that
+holds its minimum, and each row left without one gets one Dijkstra-style
+shortest augmenting path over the reduced costs.
+
+Among equal-cost optima the result is the lexicographically smallest match
+set by (row, column).  The tie-break reads the k x k matrix (k = max(n, m))
+of cells that are tight under the solver's potentials, where the missing
+side is padding whose columns (the indices >= m) come after every real
+column, so each row prefers a real column over being unmatched simply by
+taking columns in ascending order.
 """
 
 from __future__ import annotations
@@ -14,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_MAX_MUNKRES_ITER = 1_000_000
-# Reduced cells at most this many times the largest absolute cost or sentinel
-# (or 1) are tight: ties that rounding hid are found again.
+# Reduced cells at most this many times the largest absolute cost or padding
+# cost (or 1) are tight: ties that rounding hid are found again.
 _TIE_TOLERANCE = 1e-12
 
 
@@ -36,10 +42,14 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     ties resolve to the lexicographically smallest match set.  Two match
     sets tie when their totals differ by rounding only: a cell of the final
     reduced matrix counts as tight when it is at most `1e-12 * max(1, c)`,
-    c the largest absolute value among the costs and the padding sentinel
-    (the largest cost plus 1), since rounding in the potential updates can
-    leave an exactly tight cell a few ulps above zero.
-    Raises ValueError on non-finite entries.
+    c the largest absolute value among the costs and the padding cost (the
+    largest cost plus 1), since rounding in the potential updates can leave
+    an exactly tight cell a few ulps above zero.
+
+    The cost is O(n * m) per call for the warm start and the tight matrix,
+    plus one shortest augmenting path, of at most max(n, m) column scans,
+    for each row whose cheapest column a lower row already took, and the
+    tie-break's searches.  Raises ValueError on non-finite entries.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -47,98 +57,106 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     n, m = cost.shape
     if n == 0 or m == 0:
         return Assignment([], list(range(n)), list(range(m)))
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
 
+    flip = n > m
+    solved = cost.T if flip else cost
+    u, v, col_of_row, row_of_col = _shortest_paths(solved)
+    # the padding cost, the largest cost plus 1, and the smallest cost bound every |cost|
+    scale = max(1.0, abs(float(cost.max()) + 1.0), abs(float(cost.min())))
+    tol = _TIE_TOLERANCE * scale
+    tight_real = solved - u[:, None] - v <= tol
+    # Padding cells cost the same everywhere, so they are tight where v is
+    # largest; free columns keep v = 0, and no v rises above 0.
+    tight_pad = v >= -tol
+
     k = max(n, m)
-    sentinel = float(cost.max()) + 1.0
-    padded = np.full((k, k), sentinel)
-    padded[:n, :m] = cost
+    tight = np.empty((k, k), dtype=bool)
+    if flip:
+        tight[:, :m] = tight_real.T
+        tight[:, m:] = tight_pad[:, None]
+        # unmatched tracks take the padding columns in row order
+        col_of_track = row_of_col.copy()
+        col_of_track[row_of_col < 0] = np.arange(m, n)
+    else:
+        tight[:n] = tight_real
+        tight[n:] = tight_pad
+        col_of_track = np.concatenate([col_of_row, (row_of_col < 0).nonzero()[0]])
+    col_of_track = _lex_refine(tight, col_of_track, n)
 
-    col_of_row, reduced = _munkres(padded)
-    # the sentinel, the largest cost plus 1, and the smallest cost bound every |cost|
-    scale = max(1.0, abs(sentinel), abs(float(cost.min())))
-    tight = reduced <= _TIE_TOLERANCE * scale
-    col_of_row = _lex_refine(tight, col_of_row, n)
-
-    matches = [(i, int(col_of_row[i])) for i in range(n) if col_of_row[i] < m]
-    matched_rows = {i for i, _ in matches}
-    matched_cols = {j for _, j in matches}
+    real = col_of_track[:n] < m
+    rows = real.nonzero()[0]
     return Assignment(
-        matches=matches,
-        unmatched_tracks=[i for i in range(n) if i not in matched_rows],
-        unmatched_detections=[j for j in range(m) if j not in matched_cols],
+        matches=list(zip(rows.tolist(), col_of_track[rows].tolist())),
+        unmatched_tracks=(~real).nonzero()[0].tolist(),
+        unmatched_detections=np.sort(col_of_track[n:]).tolist(),
     )
 
 
-def _munkres(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classical O(k^3) Munkres on a square matrix.
+def _shortest_paths(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-cost matching of every row of an r x c matrix, r <= c.
 
-    Returns (column of each row, final reduced matrix).  The reduced matrix
-    is the cost minus row and column potentials, non-negative and zero on
-    every matched cell, so by complementary slackness the perfect matchings
-    of its zero cells are exactly the optimal assignments.  The tie-break
-    refinement chooses among those.  A zero cell need not lie in any of them,
-    and float rounding can leave a tight cell a few ulps above zero, so
-    `solve_assignment` reads cells within a tolerance of zero as tight.
+    Returns (u, v, column of each row, row of each column or -1).  The
+    potentials leave `cost - u[:, None] - v` non-negative (up to rounding)
+    and zero on every matched cell, and v <= 0 with v = 0 on every free
+    column.  Padding the matrix with rows of one constant cost p, whose
+    potential is p, therefore gives a feasible dual of the square problem
+    that is tight on an optimal perfect matching: by complementary
+    slackness the perfect matchings of its tight cells are exactly the
+    optimal assignments, among which `_lex_refine` chooses.
+
+    Warm start: u = row minima, v = 0, and each row takes the first column
+    holding its minimum unless a lower row took it.  Each row still free
+    then grows one Dijkstra tree of reduced costs until it reaches a free
+    column (ties prefer a free column, then the lowest index), moves the
+    potentials of the tree, and augments.  Every step closes one column, so
+    a path takes at most c steps.
     """
-    Z = costs.astype(float, copy=True)
-    k = Z.shape[0]
-    Z -= Z.min(axis=1, keepdims=True)
-    Z -= Z.min(axis=0, keepdims=True)
+    r, c = cost.shape
+    u = cost.min(axis=1)
+    v = np.zeros(c)
+    col_of_row = cost.argmin(axis=1)
+    row_of_col = np.full(c, -1)
+    rows = np.arange(r)
+    row_of_col[col_of_row[::-1]] = rows[::-1]  # the last write wins: the lowest row
+    conflicts = (row_of_col[col_of_row] != rows).nonzero()[0]
+    col_of_row[conflicts] = -1
 
-    starred = np.zeros((k, k), dtype=bool)
-    primed = np.zeros((k, k), dtype=bool)
-    row_cov = np.zeros(k, dtype=bool)
-    col_cov = np.zeros(k, dtype=bool)
-
-    # Seed: star independent zeros greedily, row-major.
-    for i, j in zip(*np.nonzero(Z == 0.0)):
-        if not row_cov[i] and not col_cov[j]:
-            starred[i, j] = True
-            row_cov[i] = True
-            col_cov[j] = True
-    row_cov[:] = False
-    col_cov[:] = False
-
-    for _ in range(_MAX_MUNKRES_ITER):
-        col_cov = starred.any(axis=0)
-        if int(col_cov.sum()) == k:
-            col_of_row = np.argmax(starred, axis=1)
-            return col_of_row, Z
-
+    for start in conflicts.tolist():
+        dist = np.full(c, np.inf)
+        pred = np.empty(c, dtype=int)
+        open_cols = np.ones(c, dtype=bool)
+        closed = []
+        i, reach = start, 0.0
         while True:
-            free = (Z == 0.0) & ~row_cov[:, None] & ~col_cov[None, :]
-            if not free.any():
-                uncovered = ~row_cov[:, None] & ~col_cov[None, :]
-                h = Z[uncovered].min()
-                Z[row_cov, :] += h
-                Z[:, ~col_cov] -= h
-                continue
-            i, j = np.argwhere(free)[0]
-            primed[i, j] = True
-            star_cols = np.nonzero(starred[i])[0]
-            if star_cols.size:
-                row_cov[i] = True
-                col_cov[star_cols[0]] = False
-                continue
-            # Augment: alternate primed/starred from (i, j); primes become
-            # stars, stars along the path are erased.
-            path = [(i, j)]
-            while True:
-                rows = np.nonzero(starred[:, path[-1][1]])[0]
-                if rows.size == 0:
-                    break
-                r = int(rows[0])
-                path.append((r, path[-1][1]))
-                c = int(np.nonzero(primed[r])[0][0])
-                path.append((r, c))
-            for idx, (pr, pc) in enumerate(path):
-                starred[pr, pc] = idx % 2 == 0
-            primed[:] = False
-            row_cov[:] = False
-            break
-    raise RuntimeError("assignment did not converge")  # unreachable on finite input
+            step = cost[i] - v + (reach - u[i])
+            better = open_cols & (step < dist)
+            dist[better] = step[better]
+            pred[better] = i
+            near = np.where(open_cols, dist, np.inf)
+            reach = float(near.min())
+            ties = near == reach
+            free_ties = ties & (row_of_col < 0)
+            j = int(free_ties.argmax() if free_ties.any() else ties.argmax())
+            if row_of_col[j] < 0:
+                break
+            open_cols[j] = False
+            closed.append(j)
+            i = int(row_of_col[j])
+
+        cols = np.array(closed, dtype=int)
+        shift = reach - dist[cols]
+        u[start] += reach
+        u[row_of_col[cols]] += shift
+        v[cols] -= shift
+        while True:
+            i = int(pred[j])
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == start:
+                break
+    return u, v, col_of_row, row_of_col
 
 
 def _lex_refine(zero: np.ndarray, col_of_row: np.ndarray, n: int) -> np.ndarray:

@@ -201,7 +201,7 @@ def load_config(path: str, env: dict[str, str] | None = None) -> RunConfig:
     """Parse and validate a calibration/run file into a RunConfig."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=path)

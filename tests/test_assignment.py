@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from crowdrisk.assignment import solve_assignment
+from crowdrisk.geometry import iou_matrix
 
 
 def brute_force(cost: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
@@ -97,13 +98,7 @@ class TestAgainstBruteForce:
         for _ in range(200):
             n = int(rng.integers(0, 7))
             m = int(rng.integers(0, 7))
-            cost = rng.random((n, m))
-            out = solve_assignment(cost)
-            rows = sorted([i for i, _ in out.matches] + out.unmatched_tracks)
-            cols = sorted([j for _, j in out.matches] + out.unmatched_detections)
-            assert rows == list(range(n))
-            assert cols == list(range(m))
-            assert len(out.matches) == min(n, m)
+            assert_partition(solve_assignment(rng.random((n, m))), n, m)
 
     def test_all_equal_costs_prefers_lowest_indices(self):
         out = solve_assignment(np.ones((3, 3)))
@@ -164,3 +159,59 @@ class TestTieRuleBeyondBruteForce:
             cost[equal] = rng.integers(0, 3, size=(int(equal.sum()), 1))
             expected = lex_min_optimum(cost, optimize.linear_sum_assignment)
             assert solve_assignment(cost).matches == expected
+
+    @pytest.mark.parametrize("shape", [(40, 8), (8, 40), (30, 5), (5, 30)])
+    def test_lopsided_with_equal_rows_and_columns(self, shape):
+        """|n - m| >= 10: many rows or columns are left over, so the solver's
+        free columns and padding carry the tie-break."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(sum(shape))
+        n, m = shape
+        for _ in range(5):
+            cost = rng.integers(0, 3, size=(n, m)).astype(float)
+            equal_rows = rng.random(n) < 0.3
+            cost[equal_rows] = rng.integers(0, 3, size=(int(equal_rows.sum()), 1))
+            equal_cols = rng.random(m) < 0.3
+            cost[:, equal_cols] = rng.integers(0, 3, size=(1, int(equal_cols.sum())))
+            expected = lex_min_optimum(cost, optimize.linear_sum_assignment)
+            assert solve_assignment(cost).matches == expected
+
+
+def assert_partition(out, n: int, m: int) -> None:
+    rows = sorted([i for i, _ in out.matches] + out.unmatched_tracks)
+    cols = sorted([j for _, j in out.matches] + out.unmatched_detections)
+    assert rows == list(range(n))
+    assert cols == list(range(m))
+    assert len(out.matches) == min(n, m)
+
+
+class TestLargeAgainstScipy:
+    """Totals equal scipy's optimum on matrices far beyond brute force."""
+
+    @pytest.mark.parametrize("shape", [(300, 250), (250, 300), (600, 600)])
+    def test_random(self, shape):
+        optimize = pytest.importorskip("scipy.optimize")
+        cost = np.random.default_rng(sum(shape)).random(shape)
+        self.check(cost, optimize.linear_sum_assignment)
+
+    def test_crowded_frame(self):
+        """1 - IoU of 1,000 boxes on a 1920x1080 frame against 980 jittered
+        copies of some of them, in shuffled order."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(7)
+        tracks = np.column_stack([rng.uniform(0, 1920, 1000), rng.uniform(0, 1080, 1000),
+                                  rng.uniform(20, 40, 1000), rng.uniform(50, 90, 1000)])
+        dets = tracks[rng.permutation(1000)[:980]] + rng.normal(0, [2.0, 2.0, 0.5, 0.5], (980, 4))
+        self.check(1.0 - iou_matrix(tracks, dets), optimize.linear_sum_assignment)
+
+    @staticmethod
+    def check(cost, linear_sum_assignment):
+        out = solve_assignment(cost)
+        assert_partition(out, *cost.shape)
+        rows, cols = linear_sum_assignment(cost)
+        total = math.fsum(cost[i, j] for i, j in out.matches)
+        assert total == pytest.approx(math.fsum(cost[rows, cols]), abs=1e-9)
+
+    def test_all_equal_costs_give_identity(self):
+        out = solve_assignment(np.ones((1000, 1000)))
+        assert out.matches == [(i, i) for i in range(1000)]

@@ -164,6 +164,14 @@ class TestHomographyBlock:
             load_config("/nonexistent/run.cfg", env={})
 
 
+class TestLiteralValues:
+    @pytest.mark.parametrize("value", ["out%1", "out%(x)s", "out%%"])
+    def test_percent_read_verbatim(self, tmp_path, value):
+        cfg = write_cfg(tmp_path, IDENTITY_H + "[policy]\nxi_px_per_m = 10\nr_px = 20\n"
+                        f"[output]\ndir = {value}\n")
+        assert load_config(cfg, env={}).out_dir == value
+
+
 POLICY = "[policy]\nxi_px_per_m = 10\nr_px = 20\n"
 
 

@@ -182,18 +182,29 @@ class TestAssociateAgainstBruteForce:
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             n, m = (int(v) for v in rng.integers(1, 6, size=2))
-            pool = tie_boxes(rng, 3, np.array([[10.0, 10.0, 10.0, 20.0]]))
-            tracks, dets = tie_boxes(rng, n, pool), tie_boxes(rng, m, pool)
-            overlap = iou_matrix(tracks, dets)
-            cost = 1.0 - overlap
-            _, pairs = brute_force(cost)
-            assert solve_assignment(cost).matches == pairs
-            for gate in (0.0, 0.3, 1.0):
-                out = associate(tracks, dets, iou_gate=gate)
-                assert out.matches == [(i, j) for i, j in pairs if overlap[i, j] >= gate]
-                assert out.unmatched_tracks == sorted(set(range(n)) - {i for i, _ in out.matches})
-                assert out.unmatched_detections == sorted(
-                    set(range(m)) - {j for _, j in out.matches})
+            self.check(rng, n, m)
+
+    def test_many_tracks_few_detections(self):
+        """Most tracks are left over, so the tie-break runs through the
+        padding columns that unmatched tracks hold."""
+        rng = np.random.default_rng(2025)
+        for _ in range(300):
+            self.check(rng, int(rng.integers(1, 8)), int(rng.integers(1, 3)))
+
+    @staticmethod
+    def check(rng: np.random.Generator, n: int, m: int) -> None:
+        pool = tie_boxes(rng, 3, np.array([[10.0, 10.0, 10.0, 20.0]]))
+        tracks, dets = tie_boxes(rng, n, pool), tie_boxes(rng, m, pool)
+        overlap = iou_matrix(tracks, dets)
+        cost = 1.0 - overlap
+        _, pairs = brute_force(cost)
+        assert solve_assignment(cost).matches == pairs
+        for gate in (0.0, 0.3, 1.0):
+            out = associate(tracks, dets, iou_gate=gate)
+            assert out.matches == [(i, j) for i, j in pairs if overlap[i, j] >= gate]
+            assert out.unmatched_tracks == sorted(set(range(n)) - {i for i, _ in out.matches})
+            assert out.unmatched_detections == sorted(
+                set(range(m)) - {j for _, j in out.matches})
 
 
 class TestTrackerLifecycle:
