@@ -6,10 +6,14 @@ frames (consecutive-proximity counters), everything else is per frame.
 A frame's positions are its track ids plus one (n, 2) array of ground
 coordinates (`FramePositions`), and people are named by their row in it:
 close pairs come as (k, 2) arrays of row pairs, each row pair in increasing
-order.  Every distance comes from `ground_distances`; the (n, n) matrix of
-one frame is computed once (`FramePositions.distances`) and shared by the
-violation, couple and zone rules.  Only the couple counters are keyed by
-id pair, because they outlive the frame.
+order.  Every distance is the `np.hypot` of two coordinate differences
+(`_gaps`).  No rule builds a matrix of all pairs: each is a radius query,
+and `candidate_pairs` (geometry.py) sweeps the points sorted by x for the
+pairs whose x coordinates are close enough, which the rule then tests
+exactly.  The close pairs of one frame are found once, at the larger of the
+safe distance and the couple distance (`FramePositions.close_pairs`), and
+shared by the violation and couple rules.  Only the couple counters are
+keyed by id pair, because they outlive the frame.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_rows
+from .geometry import as_rows, candidate_pairs
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,11 @@ class DistancePolicy:
 
 @dataclass(frozen=True, eq=False)
 class FramePositions:
-    """Ground-plane positions in one frame: track ids and their (n, 2) array xy."""
+    """Ground-plane positions in one frame: track ids and their (n, 2) array xy.
+
+    ValueError for a non-finite point, a duplicate id, or ids and points
+    that differ in number.
+    """
 
     frame: int
     ids: list[int]
@@ -70,6 +78,8 @@ class FramePositions:
         object.__setattr__(self, "xy", as_rows(self.xy, 2, f"frame {self.frame} xy"))
         if len(self.xy) != len(self.ids):
             raise ValueError(f"{len(self.ids)} ids but {len(self.xy)} points in frame {self.frame}")
+        if not np.isfinite(self.xy).all():
+            raise ValueError(f"non-finite ground point in frame {self.frame}")
         if len(self.row) != len(self.ids):
             raise ValueError(f"duplicate track ids in frame {self.frame}")
 
@@ -81,13 +91,27 @@ class FramePositions:
 
     @functools.cached_property
     def row(self) -> dict[int, int]:
-        """Row of each id in `xy` and `distances`."""
+        """Row of each id in `xy`."""
         return {tid: i for i, tid in enumerate(self.ids)}
 
-    @functools.cached_property
-    def distances(self) -> np.ndarray:
-        """(n, n) ground distances between rows, computed on first use."""
-        return ground_distances(self.xy, self.xy)
+    def close_pairs(self, reach: float) -> tuple[np.ndarray, np.ndarray]:
+        """(k, 2) row pairs (a < b) at most `reach` apart, in row-major order,
+        and their (k,) distances.
+
+        The answer for the last reach asked is kept, so the rules of one
+        frame share one search.
+        """
+        cached = self.__dict__.get("_close_pairs")
+        if cached is None or cached[0] != reach:
+            x = self.xy[:, 0]
+            a, b = candidate_pairs(x, x, reach)
+            d = _gaps(self.xy[a], self.xy[b])
+            keep = (a < b) & (d <= reach)
+            pairs, d = np.stack([a, b], axis=1)[keep], d[keep]
+            order = np.lexsort(pairs.T[::-1])
+            cached = (reach, pairs[order], d[order])
+            self.__dict__["_close_pairs"] = cached
+        return cached[1], cached[2]
 
 
 class ZoneLabel(enum.Enum):
@@ -96,25 +120,22 @@ class ZoneLabel(enum.Enum):
     POTENTIALLY_RISKY = "yellow"
 
 
-def ground_distances(a, b) -> np.ndarray:
-    """(n, m) L2 distances between (n, 2) and (m, 2) ground-point arrays.
-
-    The one distance definition of this module, so the scalar rule and the
-    per-frame matrices round alike.
-    """
-    a, b = as_rows(a, 2, "a"), as_rows(b, 2, "b")
-    return np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+def _gaps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """L2 distances between the rows of two (k, 2) point arrays: the one
+    distance definition of this module, so every rule rounds alike."""
+    d = p - q
+    return np.hypot(d[:, 0], d[:, 1])
 
 
-def _close_pairs(pos: FramePositions, limit: float) -> np.ndarray:
+def _close_pairs(pos: FramePositions, policy: DistancePolicy, limit: float) -> np.ndarray:
     """(k, 2) row pairs (a < b) at most `limit` apart, in row-major order."""
-    pairs = np.argwhere(pos.distances <= limit)
-    return pairs[pairs[:, 0] < pairs[:, 1]]
+    pairs, d = pos.close_pairs(max(policy.r, policy.couple_d_px))
+    return pairs[d <= limit]
 
 
 def pairwise_violations(pos: FramePositions, policy: DistancePolicy) -> np.ndarray:
     """(k, 2) row pairs (a < b) of `pos` at most the safe distance r apart."""
-    return _close_pairs(pos, policy.r)
+    return _close_pairs(pos, policy, policy.r)
 
 
 class CoupleRegistry:
@@ -151,7 +172,7 @@ def update_couples(
 ) -> CoupleRegistry:
     """Advance the couple counters with one frame of positions."""
     ids = pos.ids
-    rows = _close_pairs(pos, policy.couple_d_px).tolist()
+    rows = _close_pairs(pos, policy, policy.couple_d_px).tolist()
     registry._advance(_ordered(ids[a], ids[b]) for a, b in rows)
     return registry
 
@@ -166,15 +187,16 @@ def exclusive_couples(
     Returns the (n,) partner row of each row of `pos`, -1 for none.
     """
     row = pos.row
-    candidates = []
-    for id_a, id_b in registry.couples(policy):
-        if id_a in row and id_b in row:
-            a, b = row[id_a], row[id_b]
-            candidates.append((float(pos.distances[a, b]), id_a + id_b, (id_a, id_b), a, b))
+    present = [pair for pair in registry.couples(policy) if pair[0] in row and pair[1] in row]
     mate = np.full(len(pos.ids), -1)
-    for *_, a, b in sorted(candidates):
-        if mate[a] < 0 and mate[b] < 0:
-            mate[a], mate[b] = b, a
+    if not present:
+        return mate
+    a, b = np.array([(row[id_a], row[id_b]) for id_a, id_b in present]).T
+    d = _gaps(pos.xy[a], pos.xy[b]).tolist()
+    for *_, ra, rb in sorted(zip(d, [ia + ib for ia, ib in present], present,
+                                 a.tolist(), b.tolist())):
+        if mate[ra] < 0 and mate[rb] < 0:
+            mate[ra], mate[rb] = rb, ra
     return mate
 
 
@@ -218,14 +240,19 @@ def classify_zones(
         ia = first[np.argsort(ids[first], kind="stable")]
         ib = mate[ia]
         mids = (pos.xy[ia] + pos.xy[ib]) / 2.0
-        d_c = pos.distances[ia, ib]  # current partner separations
+        d_c = _gaps(pos.xy[ia], pos.xy[ib])  # current partner separations
         radius = policy.r + d_c / 2.0
-        near = (ground_distances(mids, pos.xy) <= radius[:, None]) & ~paired
-        red |= near.any(axis=0)
-        hit = near.any(axis=1)
+        widest = policy.r + d_c.max()
+        # outsiders inside a couple's circle
+        k, p = candidate_pairs(mids[:, 0], pos.xy[:, 0], widest)
+        near = (_gaps(mids[k], pos.xy[p]) <= radius[k]) & ~paired[p]
+        red[p[near]] = True
+        hit = np.zeros(len(ia), dtype=bool)
+        hit[k[near]] = True
         # each pair of couples once, the earlier couple's circle first
-        touching = np.triu(ground_distances(mids, mids) <= radius[:, None] + d_c / 2.0, k=1)
-        hit |= touching.any(axis=1) | touching.any(axis=0)
+        k, l = candidate_pairs(mids[:, 0], mids[:, 0], widest)
+        touching = (k < l) & (_gaps(mids[k], mids[l]) <= radius[k] + d_c[l] / 2.0)
+        hit[k[touching]] = hit[l[touching]] = True
         red[ia[hit]] = red[ib[hit]] = True
         # A red partner drags the other member of the couple along.
         red[mate[red & paired]] = True

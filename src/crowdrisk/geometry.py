@@ -89,21 +89,77 @@ def as_rows(a, width: int, name: str) -> np.ndarray:
     return a
 
 
+def candidate_pairs(left, right, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with right[j] within `reach` of left[i] along x.
+
+    `left` and `right` are 1-D arrays of finite x coordinates.  Every pair
+    with |left[i] - right[j]| <= reach is returned, and possibly a few more:
+    the window is widened by a relative 1e-9, so rounding can only add
+    candidates, and callers apply their exact test to them.  Pairs come in
+    increasing i; within one i, j follows increasing right[j].
+
+    This is the sort-and-sweep broad phase (Baraff 1992): one sort of
+    `right`, two binary searches per left point, one step per candidate.
+    In the worst case, everyone within one reach-wide band of x, the
+    candidates are all n * m pairs, as many as a dense matrix holds.
+    """
+    order = np.argsort(right)
+    xs = right[order]
+    if not len(xs):
+        return np.zeros(0, dtype=np.intp), order
+    # a pair within reach has |left[i]| <= max|right| + reach, which bounds the rounding
+    reach += 1e-9 * (max(-xs[0], xs[-1]) + reach)
+    lo = np.searchsorted(xs, left - reach)
+    count = np.searchsorted(xs, left + reach, side="right") - lo
+    i = np.repeat(np.arange(len(left)), count)
+    # each candidate's place in xs: its window's start plus its rank in the window
+    shift = np.repeat(lo - np.cumsum(count) + count, count)
+    return i, order[shift + np.arange(len(i))]
+
+
+# Below this many cells, evaluating every cell costs less than the sweep's
+# fixed cost of about 16 numpy calls (the two cross near 28 x 28 boxes);
+# both evaluate the one formula of `_iou`, so the bits agree.
+_SWEEP_MIN_CELLS = 800
+
+
 def iou_matrix(rows, cols) -> np.ndarray:
     """Pairwise IoU of two (n, 4) center-format box arrays.
 
-    Each cell is bit-identical to the scalar iou() of the two boxes.
+    Each cell is bit-identical to the scalar iou() of the two boxes.  Below
+    800 cells every cell is evaluated; from there on only the pairs whose x
+    extents can overlap (`candidate_pairs` on the box centres, reach the
+    widest side) are, and every other cell is 0.0, as the scalar rule gives
+    for disjoint boxes.  ValueError unless every box has finite coordinates
+    and positive sides.
     """
     A, B = as_rows(rows, 4, "rows"), as_rows(cols, 4, "cols")
-    a_lo, a_hi = A[:, :2] - A[:, 2:] / 2.0, A[:, :2] + A[:, 2:] / 2.0
-    b_lo, b_hi = (B[:, :2] - B[:, 2:] / 2.0).T, (B[:, :2] + B[:, 2:] / 2.0).T
-    iw = np.minimum(a_hi[:, 0, None], b_hi[0]) - np.maximum(a_lo[:, 0, None], b_lo[0])
-    ih = np.minimum(a_hi[:, 1, None], b_hi[1]) - np.maximum(a_lo[:, 1, None], b_lo[1])
+    n, m = len(A), len(B)
+    if not n or not m:
+        return np.zeros((n, m))
+    boxes = np.concatenate([A, B])
+    sides = boxes[:, 2:]
+    if not (np.isfinite(boxes).all() and sides.min() > 0.0):
+        raise ValueError("boxes must be finite with positive sides")
+    # per box: x1, y1, x2, y2 and area, each rounded as the scalar iou() rounds them
+    half = sides / 2.0
+    box = np.concatenate([boxes[:, :2] - half, boxes[:, :2] + half,
+                          boxes[:, 2:3] * boxes[:, 3:]], axis=1)
+    if n * m < _SWEEP_MIN_CELLS:
+        return _iou(box[:n, None], box[None, n:])
+    out = np.zeros((n, m))
+    i, j = candidate_pairs(A[:, 0], B[:, 0], boxes[:, 2].max())
+    out[i, j] = _iou(box[i], box[n:][j])
+    return out
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of boxes given as (..., 5) rows (x1, y1, x2, y2, area), broadcast."""
+    iwh = np.minimum(a[..., 2:4], b[..., 2:4]) - np.maximum(a[..., :2], b[..., :2])
     # disjoint pairs get zero overlap, so their IoU is 0 / union = 0
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = (A[:, 2] * A[:, 3])[:, None] + B[:, 2] * B[:, 3] - inter
-    # in place: one more (n, m) temporary is paged in afresh on every call
-    return np.minimum(np.divide(inter, union, out=inter), 1.0, out=inter)
+    np.maximum(iwh, 0.0, out=iwh)
+    inter = iwh[..., 0] * iwh[..., 1]
+    return np.minimum(inter / (a[..., 4] + b[..., 4] - inter), 1.0)
 
 
 def ciou_loss(pred: BBox, gt: BBox) -> CIoUBreakdown:

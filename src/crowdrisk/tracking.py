@@ -240,16 +240,14 @@ def associate(tracks, detections, iou_gate: float) -> Assignment:
     overlap = iou_matrix(tracks, detections)
     raw = solve_assignment(1.0 - overlap)
 
-    matches = []
-    unmatched_t = list(raw.unmatched_tracks)
-    unmatched_d = list(raw.unmatched_detections)
-    for ti, di in raw.matches:
-        if overlap[ti, di] >= iou_gate:
-            matches.append((ti, di))
-        else:
-            unmatched_t.append(ti)
-            unmatched_d.append(di)
-    return Assignment(matches, sorted(unmatched_t), sorted(unmatched_d))
+    ti, di = map(np.array, zip(*raw.matches))  # min(n, m) >= 1 matches
+    keep = overlap[ti, di] >= iou_gate
+    if keep.all():
+        return raw
+    gated = ~keep
+    return Assignment(list(zip(ti[keep].tolist(), di[keep].tolist())),
+                      sorted(raw.unmatched_tracks + ti[gated].tolist()),
+                      sorted(raw.unmatched_detections + di[gated].tolist()))
 
 
 class Tracker:

@@ -101,3 +101,25 @@ def crowd_stream_lines(n_frames: int, lanes: int = 20, seed: int = 12) -> list[s
                 f"{frame},-1,{cx - 15.0:.2f},{cy - 40.0:.2f},30.00,80.00,0.90,-1,-1,-1"
             )
     return lines
+
+
+def crowd_walkers(singles: int, couples: int, seed: int, field: float = 1000.0) -> list[Walker]:
+    """`singles` lone walkers and `couples` pairs 8 px (0.8 m) apart, present
+    from frame 1 to 100 on random headings at under 1 px a frame.
+
+    Starts keep a 120 px margin, so everyone stays inside the square field
+    for 100 frames; a couple's members share one velocity.
+    """
+    rng = np.random.default_rng(seed)
+    movers = singles + couples
+    x0, y0 = rng.uniform(120.0, field - 120.0, size=(2, movers))
+    heading = rng.uniform(0.0, 2.0 * np.pi, size=movers)
+    speed = rng.uniform(0.2, 1.0, size=movers)
+    vx, vy = speed * np.cos(heading), speed * np.sin(heading)
+    walkers = []
+    for k in range(movers):
+        offsets = (0.0,) if k < singles else (-4.0, 4.0)
+        for dx in offsets:
+            walkers.append(Walker(enter=1, leave=100, x0=float(x0[k] + dx), y0=float(y0[k]),
+                                  vx=float(vx[k]), vy=float(vy[k]), w=24.0, h=60.0))
+    return walkers

@@ -21,7 +21,6 @@ from crowdrisk.distancing import (
     classify_zones,
     exclusive_couples,
     frame_stats,
-    ground_distances,
     pairwise_violations,
     update_couples,
 )
@@ -90,20 +89,6 @@ class TestViolation:
             r2 = r1 + float(rng.uniform(0, 40))
             if violation(p, q, r1):
                 assert violation(p, q, r2) == 1
-
-
-class TestGroundDistanceShapes:
-    @pytest.mark.parametrize("a,b,bad", [
-        ((3, 4), (1, 2), (3, 4)),  # once read as six points
-        ((1, 2), (2,), (2,)),
-        ((2, 2), (2, 3), (2, 3)),
-    ])
-    def test_rejects_wrong_width(self, a, b, bad):
-        with pytest.raises(ValueError, match=re.escape(f"(n, 2) array, got shape {bad}")):
-            ground_distances(np.ones(a), np.ones(b))
-
-    def test_empty_sides(self):
-        assert ground_distances(np.zeros((0, 2)), np.ones((3, 2))).shape == (0, 3)
 
 
 class TestPairwiseViolations:
