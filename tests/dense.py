@@ -18,8 +18,7 @@ from crowdrisk.geometry import as_rows
 def all_pairs(left, right, reach: float) -> tuple[np.ndarray, np.ndarray]:
     """Every (i, j) pair in row-major order: the dense stand-in for
     `candidate_pairs`, whose callers test each candidate exactly."""
-    n, m = len(left), len(right)
-    return np.divmod(np.arange(n * m), m) if m else (np.zeros(0, int), np.zeros(0, int))
+    return np.divmod(np.arange(len(left) * len(right)), len(right))
 
 
 def dense_iou_matrix(rows, cols) -> np.ndarray:
