@@ -32,7 +32,7 @@ from .risk import (
     ViolationGrid,
     accumulate_tracking,
     accumulate_violations,
-    advance_empty,
+    advance_to,
     crowd_step,
 )
 from .tracking import Tracker, format_mot_line
@@ -115,7 +115,8 @@ def run_pipeline(
     Every frame from the first detection to the last gets a stats row.  Once
     every track has died, the frames up to the next detection are advanced
     in one step: the tracker would only record them, and the crowd grids
-    take the closed form of `advance_empty`.
+    lag behind until a stamp or the end of the run brings their cells up
+    to date (`advance_to`).
     """
     out = out_dir if out_dir is not None else config.out_dir
     os.makedirs(out, exist_ok=True)
@@ -153,8 +154,6 @@ def run_pipeline(
                 # Idle tracker, no boxes: each step would only record its frame,
                 # the couple counters stay empty and every stats row is zero.
                 if not tracks_only:
-                    if config.crowd_map_enabled:
-                        advance_empty(crowd, long_term, k)
                     reports.append(range(frame, frame + k))
                 frames_processed += k
                 continue
@@ -179,7 +178,7 @@ def run_pipeline(
             accumulate_violations(violation_grid, labels, pos)
             if config.crowd_map_enabled:
                 crowd_step(crowd, pos)
-                long_term.update(crowd.values, crowd.live_rects)
+                long_term.update(crowd)
 
             report = FrameReport(
                 frame=frame,
@@ -220,6 +219,7 @@ def run_pipeline(
             "violation_grid": violation_grid.combined(tracking_grid.values),
         }
         if config.crowd_map_enabled:
+            advance_to(crowd, long_term, ingest.last_frame)
             tables["crowd_grid"] = crowd.values
             tables["longterm_crowd"] = long_term.values
         _write_rasters(out, tables)

@@ -7,14 +7,13 @@ combine with G as presence, and a decaying crowd grid for ventilated
 scenes with its long-term moving average.  A frame's stamps on a grid are
 one `np.add.at`, adding in the order of one `stamp_kernel` call per person.
 
-The crowd recurrences touch only live rectangles, which cover every cell
-some crowd stamp has reached, the kernel's +-1 rows and columns included.
-A cell never stamped is 0.0 in the crowd grid and in its average, and
-`0*gamma` and `s*0 + (1-s)*0` are exactly 0, so skipping it changes no bit.
-A stretch of k frames with nobody in it can also be advanced in one
-closed-form step (`advance_empty`), which agrees with k single steps to
-rounding.  The combined violation grid is summed only on the rows where one
-of its layers is not +0.0, for the same reason.
+The crowd grid and its average follow C = g*C + S and L = s*L + (1-s)*C
+on every frame, but each cell is brought up to date only in the frames
+that stamp it, and once more by `advance_to` before the grids are read: k
+frames of both recurrences have a closed form (`decay_sum`).  So a frame's
+crowd work follows its people, and a frame with nobody in it touches no
+cell.  The combined violation grid is summed only on the rows where one of
+its layers is not +0.0: every other row of the sum is +0.0 as well.
 """
 
 from __future__ import annotations
@@ -98,18 +97,19 @@ def stamp_kernel(grid: RiskGrid, center: tuple[int, int]) -> RiskGrid:
 
 
 _NO_CELLS = np.zeros(0, dtype=np.intp)
+_NO_VALUES = np.zeros(0)
 
 
-def _stamp_positions(grid: RiskGrid, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stamp the kernel at the cell of each (n, 2) BEV point; return the (rows, cols) it reached.
+def _kernel_cells(grid: RiskGrid, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, cols, weights) the kernel adds at the cell of each (n, 2) BEV point.
 
     A point's cell is (floor(xw / cell_scale), floor(yw / cell_scale)); off-grid
-    points count on grid.dropped.  `np.add.at` adds unbuffered in index order,
-    point by point and then kernel offset by offset, as stamp_kernel would.
-    An empty set of points returns before any numpy call.
+    points count on grid.dropped.  The cells come point by point and then
+    kernel offset by offset, as stamp_kernel would add them.  An empty set
+    of points returns before any numpy call.
     """
     if not len(xy):
-        return _NO_CELLS, _NO_CELLS
+        return _NO_CELLS, _NO_CELLS, _NO_VALUES
     col = np.floor(xy[:, 0] / grid.cell_scale)
     row = np.floor(xy[:, 1] / grid.cell_scale)
     inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
@@ -117,9 +117,17 @@ def _stamp_positions(grid: RiskGrid, xy: np.ndarray) -> tuple[np.ndarray, np.nda
     rows = row[inside].astype(np.intp)[:, None] + _KERNEL_DR
     cols = col[inside].astype(np.intp)[:, None] + _KERNEL_DC
     ok = (rows >= 0) & (rows < grid.height) & (cols >= 0) & (cols < grid.width)
-    reached = rows[ok], cols[ok]
-    np.add.at(grid.values, reached, np.broadcast_to(_KERNEL_W, ok.shape)[ok])
-    return reached
+    return rows[ok], cols[ok], np.broadcast_to(_KERNEL_W, ok.shape)[ok]
+
+
+def _stamp_positions(grid: RiskGrid, xy: np.ndarray) -> None:
+    """Stamp the kernel at the cell of each (n, 2) BEV point.
+
+    `np.add.at` adds unbuffered in index order, as stamp_kernel would.
+    """
+    rows, cols, weights = _kernel_cells(grid, xy)
+    if len(weights):
+        np.add.at(grid.values, (rows, cols), weights)
 
 
 def accumulate_tracking(grid: RiskGrid, pos: FramePositions) -> RiskGrid:
@@ -192,186 +200,147 @@ def accumulate_violations(
     return vg
 
 
-# The crowd grids are swept on rectangles built from tiles of _BAND_ROWS rows
-# by _CHUNK_COLS columns.  A band is cut down to the columns from its first
-# reached tile to its last only while that skips at least _MIN_SKIP_COLS
-# columns: a numpy call on one more rectangle costs about as much as
-# sweeping that many columns of a few rows.  A band that is cut down covers
-# all its rows.  A band that spans whole rows covers only its live rows and
-# merges with its neighbours into the runs of live rows; it stays whole,
-# since its reached columns only grow.
-_BAND_ROWS = 16
-_CHUNK_BITS = 6  # a tile is 2**6 = 64 columns wide
-_CHUNK_COLS = 1 << _CHUNK_BITS
-_MIN_SKIP_COLS = 1024
-
-
 @dataclass
 class CrowdGrid:
     """Decaying occupancy grid for scenes with ventilation.
 
-    Cells decay by decay_gamma each frame before new stamps land, so a
-    steadily occupied cell converges to stamp_weight / (1 - gamma).
+    C = gamma*C + S each frame, with S the frame's stamps, so a steadily
+    occupied cell converges to stamp_weight / (1 - gamma).
 
-    `live_rects` lists (rows, columns) slice pairs, in row order, that cover
-    every cell that holds or has held mass; every other cell is 0.0.  They
-    are built from the tiles stamps have reached (see _BAND_ROWS) and the
-    live rows, the rows holding a stamped cell.  A frame whose stamps all
-    land in covered cells changes neither, so the rectangles are rebuilt
-    only when a stamp lands outside them.  Write to `values` only through
-    `crowd_step` and `advance_empty`, which keep them up to date.
+    Each cell keeps a clock: the frame its value was last brought up to
+    date, counted from the frame before the grid's first step.
+    `crowd_step` brings only the cells it stamps up to date; the others lag
+    until `advance_to` brings the whole grid to a frame.  Read `values`
+    after that.
     """
 
     width: int
     height: int
     decay_gamma: float = RiskConfig.decay_gamma
     cell_scale: float = RiskConfig.cell_scale
-    grid: RiskGrid = field(default=None)  # type: ignore[assignment]
-    live_rects: list[tuple[slice, slice]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.decay_gamma <= 1.0):
             raise ValueError(f"decay_gamma must be in (0, 1], got {self.decay_gamma}")
-        given = self.grid is not None
-        if not given:
-            self.grid = RiskGrid(self.width, self.height, self.cell_scale)
-        height, chunks = self.grid.height, -(-self.grid.width // _CHUNK_COLS)
-        self._live = np.zeros(height, dtype=bool)
-        self._tiles = np.zeros((-(-height // _BAND_ROWS), chunks), dtype=bool)
-        self._covered = np.zeros((height, chunks), dtype=bool)  # [r, c]: row r of chunk c
-        self.live_rects = []
-        if given:  # a new grid is all zeros: reading it would only fault its pages in
-            self._mark(*np.nonzero(self.grid.values))
+        self.grid = RiskGrid(self.width, self.height, self.cell_scale)
+        self._clock = grid_zeros(self.height, self.width).reshape(-1)
+        self._origin: int | None = None  # the frame before the first step
+        self._now = 0  # the latest frame brought up to date, on the clock
+        # the latest step's flat cells, their gaps in frames and their values before it
+        self._stamped = _NO_CELLS, _NO_VALUES, _NO_VALUES
 
     @property
     def values(self) -> np.ndarray:
         return self.grid.values
 
-    def _mark(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        chunk = cols >> _CHUNK_BITS
-        if self._covered[rows, chunk].all():
-            return
-        self._live[rows] = True
-        self._tiles[rows // _BAND_ROWS, chunk] = True
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        height, width = self.grid.height, self.grid.width
-        tiles = self._tiles
-        first = tiles.argmax(axis=1) * _CHUNK_COLS
-        stop = np.minimum((tiles.shape[1] - tiles[:, ::-1].argmax(axis=1)) * _CHUNK_COLS, width)
-        whole = width - (stop - first) < _MIN_SKIP_COLS
-        # a band cut down to its columns covers all its rows: a stamp on a new row needs no rebuild
-        self._live |= np.repeat(tiles.any(axis=1) & ~whole, _BAND_ROWS)[:height]
-        first[whole], stop[whole] = 0, width
-        # one key per row for its span, -1 for a dead row and for the rows
-        # around the grid: a rectangle is a run of one key >= 0
-        span = np.repeat(first * (width + 1) + stop, _BAND_ROWS)[:height]
-        key = np.full(height + 2, -1)
-        key[1:-1] = np.where(self._live, span, -1)
-        edges = np.flatnonzero(key[1:] != key[:-1])
-        starts, stops, keys = edges[:-1], edges[1:], key[edges[:-1] + 1]
-        kept = keys >= 0
-        self.live_rects = [
-            (slice(r0, r1), slice(*divmod(k, width + 1)))
-            for r0, r1, k in zip(starts[kept].tolist(), stops[kept].tolist(), keys[kept].tolist())
-        ]
-        self._covered[:] = False
-        for rect_rows, rect_cols in self.live_rects:
-            self._covered[rect_rows, rect_cols.start >> _CHUNK_BITS:
-                          -(-rect_cols.stop >> _CHUNK_BITS)] = True
+    def _tick(self, frame: int, step: bool) -> int:
+        """frame on the grid's clock; a step must come after the latest frame."""
+        if self._origin is None:
+            self._origin = frame - 1
+        now = frame - self._origin
+        if now < self._now + step:
+            raise ValueError(f"frame {frame} is not after frame {self._origin + self._now}")
+        self._now = now
+        return now
 
 
 def crowd_step(cg: CrowdGrid, pos: FramePositions) -> CrowdGrid:
-    """Decay the live rectangles, then stamp the currently occupied cells."""
-    values = cg.grid.values
-    for cells in cg.live_rects:
-        part = values[cells]
-        part *= cg.decay_gamma
-    cg._mark(*_stamp_positions(cg.grid, pos.xy))
+    """Bring the cells pos stamps up to frame pos.frame, then stamp them.
+
+    A cell last brought to frame t0 takes C <- gamma**(frame - t0) * C + S.
+    A cell several people stamp writes the same decayed value once per
+    stamp before the stamps add, in the order stamp_kernel would add them.
+    """
+    now = cg._tick(pos.frame, step=True)
+    rows, cols, weights = _kernel_cells(cg.grid, pos.xy)
+    cells = rows * cg.width + cols
+    crowd = cg.values.reshape(-1)
+    before = crowd[cells]
+    gaps = now - cg._clock[cells]
+    crowd[cells] = before * cg.decay_gamma ** gaps
+    np.add.at(crowd, cells, weights)
+    cg._clock[cells] = now
+    cg._stamped = cells, gaps, before
     return cg
 
 
-def decay_sum(s: float, g: float, k: int) -> float:
-    """The sum over j < k of s**(k-1-j) * g**j, for s, g in [0, 1] and k >= 1.
+def decay_sum(s: float, g: float, k: int | np.ndarray) -> float | np.ndarray:
+    """The sum over j < k of s**(k-1-j) * g**j, for s, g in [0, 1], g > 0 and k >= 0.
 
-    Factors out the larger base a and sums the geometric series in q = b/a
-    <= 1 through expm1, with log(q) taken as log1p((b - a)/a): b - a is
-    exact when the bases are close, so the result stays accurate when s is
-    within a few ulps of g, where (q**k - 1)/(q - 1) would lose most digits.
+    k may be an array, and the sum is taken elementwise.  Factors out the
+    larger base a and sums the geometric series in q = b/a <= 1 through
+    expm1, with log(q) taken as log1p((b - a)/a): b - a is exact when the
+    bases are close, so the result stays accurate when s is within a few
+    ulps of g, where (q**k - 1)/(q - 1) would lose most digits.
     """
     a, b = max(s, g), min(s, g)
     if b == a:
         return k * a ** (k - 1)
     if b == 0.0:
-        return a ** (k - 1)
+        return (k > 0) * a ** (k - 1)
     log_q = math.log1p((b - a) / a)
-    return a ** (k - 1) * (math.expm1(k * log_q) / math.expm1(log_q))
+    return a ** (k - 1) * (np.expm1(k * log_q) / math.expm1(log_q))
 
 
 @dataclass
 class LongTermCrowd:
     """Exponential moving average over single-frame crowd maps.
 
-    L = s*L + (1-s)*C each frame, with s the smoothing.
+    L = s*L + (1-s)*C each frame, with s the smoothing.  Its cells are
+    brought up to date on the same frames as those of the CrowdGrid it
+    updates from.
     """
 
     width: int
     height: int
     smoothing: float = RiskConfig.long_term_smoothing
-    values: np.ndarray = field(default=None)  # type: ignore[assignment]
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.smoothing < 1.0):
             raise ValueError(f"smoothing must be in [0, 1), got {self.smoothing}")
-        if self.values is None:
-            self.values = grid_zeros(self.height, self.width)
-        self._blend = np.empty((0, self.values.shape[1]))
+        self.values = grid_zeros(self.height, self.width)
 
-    def _weighted(self, crowd: np.ndarray, weight: float) -> np.ndarray:
-        """crowd * weight; above _HEAP_CELLS cells, in a buffer kept as tall as the tallest so far.
+    def update(self, crowd: CrowdGrid) -> None:
+        """Fold in the cells crowd's latest `crowd_step` brought up to date; once per step."""
+        cells, gaps, before = crowd._stamped
+        self._catch_up(cells, gaps, before, crowd.values.reshape(-1)[cells], crowd.decay_gamma)
 
-        The buffer is overwritten by the next call.  A fresh product that
-        large each frame would be memory the allocator hands back and faults
-        in again.
+    def _catch_up(self, cells: np.ndarray, gaps: np.ndarray, before: np.ndarray,
+                  after: np.ndarray, g: float) -> None:
+        """L <- s**k * L + (1-s) * (C + s*g*decay_sum(s, g, k-1) * C0) on flat cells k >= 1 frames behind.
+
+        C0 and C are a cell's crowd values k frames ago and now; the frames
+        between held C0 * g**j.  With k = 1 this is s*L + (1-s)*C to the bit.
         """
-        if crowd.size <= _HEAP_CELLS:
-            return crowd * weight
-        rows, cols = crowd.shape
-        if len(self._blend) < rows:
-            self._blend = np.empty((rows, self.values.shape[1]))
-        return np.multiply(crowd, weight, out=self._blend[:rows, :cols])
-
-    def update(self, crowd_values: np.ndarray,
-               rects: list[tuple[slice, slice]] | None = None) -> None:
-        """Fold one crowd map in, on the (rows, columns) slice rectangles or the whole grid.
-
-        Cells outside `rects` must be 0.0 here and in crowd_values, where
-        the update would leave them 0.0.
-        """
-        for cells in (np.s_[:, :],) if rects is None else rects:
-            part = self.values[cells]
-            part *= self.smoothing
-            part += self._weighted(crowd_values[cells], 1.0 - self.smoothing)
+        s = self.smoothing
+        average = self.values.reshape(-1)
+        between = before * (s * g * decay_sum(s, g, gaps - 1))
+        average[cells] = average[cells] * s ** gaps + (after + between) * (1.0 - s)
 
 
-def advance_empty(cg: CrowdGrid, long_term: LongTermCrowd, k: int) -> None:
-    """Advance both crowd grids over k frames with nobody in them, in one step.
+def advance_to(cg: CrowdGrid, long_term: LongTermCrowd, frame: int) -> None:
+    """Bring every cell of cg, and of the average that updates from it, up to frame.
 
-    Equals k rounds of `crowd_step` with no positions and
-    `long_term.update(cg.values, cg.live_rects)` up to rounding:
-    C <- g**k * C and L <- s**k * L + (1-s) * g * decay_sum(s, g, k) * C.
+    A cell k frames behind takes C <- g**k * C and the average's update
+    with no stamp.  Only the cells some step has stamped (their clocks are
+    above 0) are brought up to date, in blocks of at most _HEAP_CELLS cells.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1 frames, got {k}")
-    g, s = cg.decay_gamma, long_term.smoothing
-    crowd_weight = (1.0 - s) * g * decay_sum(s, g, k)
-    for cells in cg.live_rects:
-        crowd = cg.values[cells]
-        part = long_term.values[cells]
-        part *= s ** k
-        part += long_term._weighted(crowd, crowd_weight)
-        crowd *= g ** k
+    if cg._origin is None:
+        return  # nothing was ever stamped
+    now = cg._tick(frame, step=False)
+    crowd, clock = cg.values.reshape(-1), cg._clock
+    for start in range(0, clock.size, _HEAP_CELLS):
+        block = clock[start:start + _HEAP_CELLS]
+        if not block.any():
+            continue
+        behind = np.flatnonzero((block > 0) & (block < now))
+        gaps = now - block[behind]
+        cells = start + behind
+        before = crowd[cells]
+        crowd[cells] = after = before * cg.decay_gamma ** gaps
+        long_term._catch_up(cells, gaps, before, after, cg.decay_gamma)
+        block[behind] = now
 
 
 def normalize(X: np.ndarray, l: float, u: float) -> np.ndarray:

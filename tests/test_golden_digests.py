@@ -48,8 +48,8 @@ PINS = {
         "summary.json": "b74958b5f378d04465f44057fc89751b12fc7549d069f49186872999f623731b",
         "tracking_grid.txt": "960d3340b7120c8eee39dc113588b62ffea5f5fa477bf273b9fd343451436bef",
         "violation_grid.txt": "68176c74301f0b2ec285855c608ae076e0bc89fb001f8b58713b6fdea7c5cce8",
-        "crowd_grid.txt": "df877b32eadac1710b35c5cff91070bd9fe2eaeeb29a6db7053bbbfce66ffa10",
-        "longterm_crowd.txt": "ac40d55046ae50abea744a11983ac57bd91472169f7d05772f5e6c4051ea7e7d",
+        "crowd_grid.txt": "4d50cd939dfff9628ddc9fb771ab5322103f4a2052257b791eb93334692e170a",
+        "longterm_crowd.txt": "b6acd2a7b5e2efff064dcd7cf6d26cdbc8df33c2fa45e6b8191332824749dd5f",
         "tracking_grid.pgm": "1dbc9353ac0d17e45d31bc1b01277583ce0007d234fd95a15ec4767bc44b3573",
         "violation_grid.pgm": "56c1eec0006b612997df5b134f930955421f1178f1036b41c2bbfb08e3ca7a20",
         "heatmap.ppm": "6cce11bc2e0b668a34ae7e458c091a2637e57167824eff12f38d895b0ceef8bf",
@@ -62,8 +62,8 @@ PINS = {
         "summary.json": "8b89c2c1733c8334505c176b207031016b0ff47583b401cfc6ffaecca8903229",
         "tracking_grid.txt": "4f9ed6329956e8264efa2f5856c3e8dbf860c938e6e843ad01ecd4f6247a4adf",
         "violation_grid.txt": "a181d78d163a7004fc6fe155fb3d17d726748c5460e943e0c6766fb8cf0ce7ac",
-        "crowd_grid.txt": "21f10b1d98cc00a51fd601867dcfe43482f5ea295cc0f5f3816b5ee88592de72",
-        "longterm_crowd.txt": "98952fcaad74cde2131af8764900d6d937d31d64e0d9f2c72363f48d5befee1d",
+        "crowd_grid.txt": "1ababc408ab4c7fc920524d748ba518493b5c268f3ee32fae098b276ec63d448",
+        "longterm_crowd.txt": "0e11aba0bc0c32349de2de9eaeb147f1d0cbad0599b36b67e58a405233f3050b",
         "tracking_grid.pgm": "ca3e6b1c5f54acabfba69473a78833859941c866058f95cf8353b55f546222f8",
         "violation_grid.pgm": "ca3e6b1c5f54acabfba69473a78833859941c866058f95cf8353b55f546222f8",
         "heatmap.ppm": "00715ac4f8548ee76a539b5199ebc791e04094c7403e96c19497b3d0399e37fc",
@@ -73,8 +73,8 @@ PINS = {
     "sparse": {
         "tracking_grid.txt": "1b527ee51d12a9a4c77d00273fb9a7d63c85e53253dc2e2e8710fb90d05fb713",
         "violation_grid.txt": "c367c8d8c4611a8b7b47373fc4db67595053a21aec698a01b94073e9a457568d",
-        "crowd_grid.txt": "0f73161d93ff453329eb2e17b4765737cf51adbd4c982f6e7e59e0de4589ce8e",
-        "longterm_crowd.txt": "9763fa1586ad22a20f61e38734709b7c4e0176f09ee264825de53b4bb6665e6b",
+        "crowd_grid.txt": "be978c3a183cb6f8d44fe4774a639ab333e4e669d08ddae650e86b628312b3b8",
+        "longterm_crowd.txt": "048a012383dac90acf025fa57b9850fc38040774f7ec827ccf0f0174919eb41e",
         "tracking_grid.pgm": "b06d30bca8d5f7925c9e1c4fe73db0897f2ae2e7cd1c693cff64fac174ab92e5",
         "violation_grid.pgm": "90683976a5693df5b7561be29a223a717fa49c4e4e506e68ed356ce87f951dee",
         "heatmap.ppm": "7a338ab9d1c1b30a77ca2fd1a5a9d2fd378e60f930f4dff57b928075b073c2a2",

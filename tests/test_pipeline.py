@@ -221,6 +221,19 @@ class TestGapsAndErrors:
             assert skip.max() > 0
             np.testing.assert_allclose(skip, step, rtol=1e-12, atol=0)
 
+    def test_crowd_maps_run_far_from_frame_zero(self, config, tmp_path):
+        # the crowd grids count frames from their first one: the maps do not
+        # depend on where the stream starts
+        for start in (1, 10**30):
+            lines = [f"{start + f},-1,{100 + 2 * f},100,30,80,0.9,-1,-1,-1" for f in range(5)]
+            summary = run_pipeline(config, parse_mot_detections(lines),
+                                   out_dir=str(tmp_path / str(start)))
+            assert summary.frames_processed == 5
+        for name in ("crowd_grid.txt", "longterm_crowd.txt"):
+            assert read_value_table(str(tmp_path / "1" / name)).max() > 0
+            assert read_bytes(str(tmp_path / "1" / name)) == read_bytes(
+                str(tmp_path / str(10**30) / name)), name
+
     def test_module_error_is_frame_stamped(self, tmp_path):
         # projection with a horizon row: a foot point at y=10 divides by zero
         cfg_text = (

@@ -18,7 +18,7 @@ from crowdrisk.risk import (
     ViolationGrid,
     accumulate_tracking,
     accumulate_violations,
-    advance_empty,
+    advance_to,
     crowd_step,
     decay_sum,
     grid_zeros,
@@ -182,22 +182,31 @@ class TestCrowdGrid:
         assert cg.values[8, 8] == pytest.approx(limit, rel=0.01)
 
     def test_pure_decay_after_departure(self):
-        cg = CrowdGrid(16, 16, decay_gamma=0.99)
+        cg, lt = CrowdGrid(16, 16, decay_gamma=0.99), LongTermCrowd(16, 16)
         for k in range(100):
             crowd_step(cg, positions([(8, 8)], frame=k + 1))
+            lt.update(cg)
         peak = cg.values[8, 8]
         for k in range(50):
             crowd_step(cg, positions([], frame=101 + k))
+            lt.update(cg)
+        assert cg.values[8, 8] == peak  # no stamp: the cell lags behind
+        advance_to(cg, lt, 150)
         assert cg.values[8, 8] == pytest.approx(peak * 0.99**50, rel=1e-12)
         assert np.all(cg.values >= 0)
 
     def test_long_term_ema(self):
-        lt = LongTermCrowd(4, 4, smoothing=0.9)
-        ones = np.ones((4, 4))
-        lt.update(ones)
-        assert np.allclose(lt.values, 0.1 * ones)
-        lt.update(ones)
-        assert np.allclose(lt.values, 0.19 * ones)
+        cg, lt = CrowdGrid(4, 4, decay_gamma=0.5), LongTermCrowd(4, 4, smoothing=0.9)
+        crowd_step(cg, positions([(1.5, 1.5)], frame=1))
+        lt.update(cg)
+        kernel = cg.values.copy()
+        assert kernel.sum() == 6.0 and np.allclose(lt.values, 0.1 * kernel)
+        crowd_step(cg, positions([(1.5, 1.5)], frame=2))  # C = 1.5 * kernel
+        lt.update(cg)
+        assert np.allclose(lt.values, 0.24 * kernel)
+        advance_to(cg, lt, 3)  # C = 0.75 * kernel
+        assert np.allclose(cg.values, 0.75 * kernel)
+        assert np.allclose(lt.values, (0.9 * 0.24 + 0.1 * 0.75) * kernel)
 
 
 def stamp_loop(grid: RiskGrid, pos: FramePositions, ids=None) -> None:
@@ -264,18 +273,20 @@ class TestStampOracle:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_crowd_step_on_fractional_mass(self, seed):
-        # a pre-filled grid of non-integer mass: each cell's sum depends on
-        # the order its additions happen in
-        start = np.random.default_rng(seed).uniform(0, 1, (self.HEIGHT, self.WIDTH)) / 3.0
-        cg = CrowdGrid(self.WIDTH, self.HEIGHT, decay_gamma=0.93, cell_scale=self.SCALE,
-                       grid=RiskGrid(self.WIDTH, self.HEIGHT, self.SCALE, values=start.copy()))
-        ref = RiskGrid(self.WIDTH, self.HEIGHT, self.SCALE, values=start.copy())
+        # the decay leaves non-integer mass: each cell's sum depends on the
+        # order its additions happen in
+        cg = CrowdGrid(self.WIDTH, self.HEIGHT, decay_gamma=0.93, cell_scale=self.SCALE)
+        lt = LongTermCrowd(self.WIDTH, self.HEIGHT)
+        ref = RiskGrid(self.WIDTH, self.HEIGHT, self.SCALE)
         for pos in self.frames(seed):
             crowd_step(cg, pos)
+            lt.update(cg)
+            advance_to(cg, lt, pos.frame)
             ref.values *= 0.93
             stamp_loop(ref, pos)
             assert np.array_equal(cg.values, ref.values)
             assert cg.grid.dropped == ref.dropped
+        assert (ref.values % 1 != 0).any()
 
 
 def random_frames(rng, n_frames: int, width: int, height: int, scale: float):
@@ -290,170 +301,132 @@ def random_frames(rng, n_frames: int, width: int, height: int, scale: float):
     return frames
 
 
+class FullGridCrowd:
+    """Reference: C = g*C + S and L = s*L + (1-s)*C on every cell, every frame.
+
+    S comes from accumulate_tracking, which TestStampOracle holds to a loop
+    of scalar stamp_kernel calls bit for bit.
+    """
+
+    def __init__(self, width: int, height: int, gamma: float, smoothing: float,
+                 scale: float = 1.0) -> None:
+        self.gamma, self.smoothing = gamma, smoothing
+        self.crowd = RiskGrid(width, height, scale)
+        self.average = np.zeros((height, width))
+
+    def step(self, pos: FramePositions | None = None) -> None:
+        self.crowd.values *= self.gamma
+        if pos is not None:
+            accumulate_tracking(self.crowd, pos)
+        self.average *= self.smoothing
+        self.average += self.crowd.values * (1.0 - self.smoothing)
+
+
+def assert_matches(cg: CrowdGrid, lt: LongTermCrowd, ref: FullGridCrowd) -> None:
+    """cg and lt match ref at rtol 1e-12, with the same zero cells."""
+    for got, want in ((cg.values, ref.crowd.values), (lt.values, ref.average)):
+        if want.any():  # a tolerance on subnormals would be loose
+            assert want[want > 0].min() > np.finfo(float).tiny
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(got == 0, want == 0)
+
+
+def assert_up_to_date(cg: CrowdGrid, lt: LongTermCrowd, ref: FullGridCrowd, frame: int) -> None:
+    """Copies of cg and lt brought up to frame match ref."""
+    cg, lt = copy.deepcopy(cg), copy.deepcopy(lt)
+    advance_to(cg, lt, frame)
+    assert_matches(cg, lt, ref)
+
+
+def gapped_frames(rng, n_frames: int, width: int, height: int, scale: float):
+    """random_frames with gaps of 1 to 3000 frames between them."""
+    frame, frames = 0, []
+    for pos in random_frames(rng, n_frames, width, height, scale):
+        roll = rng.random()
+        frame += 1 if roll < 0.5 else int(rng.integers(2, 40) if roll < 0.9 else rng.integers(40, 3001))
+        frames.append(FramePositions(frame, pos.ids, pos.xy))
+    return frames
+
+
 def stamped_pair(gamma: float, smoothing: float, seed: int = 3):
-    """A crowd grid and its long-term average after a few frames of stamps."""
+    """A crowd grid, its long-term average and their reference after 12 frames of stamps."""
     cg = CrowdGrid(24, 32, decay_gamma=gamma)
     lt = LongTermCrowd(24, 32, smoothing=smoothing)
+    ref = FullGridCrowd(24, 32, gamma, smoothing)
     for pos in random_frames(np.random.default_rng(seed), 12, 24, 32, 1.0):
         crowd_step(cg, pos)
-        lt.update(cg.values, cg.live_rects)
-    return cg, lt
+        lt.update(cg)
+        ref.step(pos)
+    return cg, lt, ref
 
 
-def outside(rects: list[tuple[slice, slice]], shape: tuple[int, int]) -> np.ndarray:
-    """The mask of the cells that no rectangle covers."""
-    mask = np.ones(shape, dtype=bool)
-    for cells in rects:
-        mask[cells] = False
-    return mask
+# (gamma, smoothing): s == g, s within a hair of g, no decay, no smoothing, g > s
+DECAY_PAIRS = [(0.99, 0.999), (0.999, 0.999), (0.99, 0.99 * (1 + 1e-9)),
+               (1.0, 0.999), (0.99, 0.0), (0.999, 0.9)]
 
 
-class TestLiveRows:
+class TestCrowdClock:
+    """Cells brought up to date only when stamped, against the whole-grid recurrence."""
+
+    @pytest.mark.parametrize("gamma,smoothing", DECAY_PAIRS)
+    def test_matches_full_grid_recurrence(self, gamma, smoothing):
+        rng = np.random.default_rng(7)
+        width, height, scale = 20, 30, 1.5
+        cg = CrowdGrid(width, height, decay_gamma=gamma, cell_scale=scale)
+        lt = LongTermCrowd(width, height, smoothing=smoothing)
+        ref = FullGridCrowd(width, height, gamma, smoothing, scale)
+        last = 0
+        for i, pos in enumerate(gapped_frames(rng, 80, width, height, scale)):
+            for _ in range(pos.frame - last - 1):
+                ref.step()
+            crowd_step(cg, pos)
+            lt.update(cg)
+            ref.step(pos)
+            last = pos.frame
+            if i % 10 == 9:
+                assert_up_to_date(cg, lt, ref, last)
+            if i == 40:  # steps go on after an advance
+                advance_to(cg, lt, last)
+        for _ in range(2500):
+            ref.step()
+        assert_up_to_date(cg, lt, ref, last + 2500)
+        assert cg.grid.dropped == ref.crowd.dropped > 0
+
     @pytest.mark.parametrize("seed", range(6))
-    def test_bit_identical_to_full_grid_recurrence(self, seed):
+    def test_bit_identical_when_advanced_every_frame(self, seed):
         rng = np.random.default_rng(seed)
         width, height, scale, gamma, s = 20, 30, 1.5, 0.97, 0.9
         cg = CrowdGrid(width, height, decay_gamma=gamma, cell_scale=scale)
         lt = LongTermCrowd(width, height, smoothing=s)
-        ref = RiskGrid(width, height, scale)
-        ref_long = np.zeros((height, width))
+        ref = FullGridCrowd(width, height, gamma, s, scale)
         for pos in random_frames(rng, 150, width, height, scale):
             crowd_step(cg, pos)
-            lt.update(cg.values, cg.live_rects)
-            ref.values *= gamma
-            accumulate_tracking(ref, pos)
-            ref_long *= s
-            ref_long += ref.values * (1.0 - s)
-            assert np.array_equal(cg.values, ref.values)
-            assert np.array_equal(lt.values, ref_long)
-        assert cg.grid.dropped == ref.dropped > 0
-        assert cg.live_rects[0][0].start == 0 and cg.live_rects[-1][0].stop == height
-        assert not cg.values[outside(cg.live_rects, cg.values.shape)].any()
+            lt.update(cg)
+            advance_to(cg, lt, pos.frame)
+            ref.step(pos)
+            assert np.array_equal(cg.values, ref.crowd.values)
+            assert np.array_equal(lt.values, ref.average)
+        assert cg.grid.dropped == ref.crowd.dropped > 0
 
-    def test_runs_follow_the_mask(self):
-        cg = CrowdGrid(8, 16)
-        crowd_step(cg, positions([(3, 0.5), (3, 6.5), (3, 8.5), (3, 15.5)]))
-        assert cg.live_rects == [np.s_[0:2, 0:8], np.s_[5:10, 0:8], np.s_[14:16, 0:8]]
-
-    def test_prefilled_grid_rows_are_live(self):
-        grid = RiskGrid(4, 6)
-        grid.values[2, 1] = 5.0
-        cg = CrowdGrid(4, 6, decay_gamma=0.5, grid=grid)
-        assert cg.live_rects == [np.s_[2:3, 0:4]]
-        crowd_step(cg, positions([]))
-        assert cg.values[2, 1] == 2.5
-
-
-    def test_update_allocates_no_grid_sized_temporaries(self):
-        cg, lt = CrowdGrid(240, 240), LongTermCrowd(240, 240)
-        pos = positions([(x, y) for x in range(5, 240, 40) for y in range(5, 240, 3)])
-        crowd_step(cg, pos)
-        lt.update(cg.values, cg.live_rects)
-        assert cg.live_rects == [np.s_[4:240, 0:240]]
-        peak = 0
-        for _ in range(3):
+    def test_advance_allocates_no_grid_sized_temporaries(self):
+        width, height = 1024, 512  # 64 blocks of _HEAP_CELLS cells
+        cg, lt = CrowdGrid(width, height), LongTermCrowd(width, height)
+        ref = FullGridCrowd(width, height, cg.decay_gamma, lt.smoothing)
+        for frame in range(1, 21):  # a person on every cell of every third row: every cell is stamped
+            rows = range(1 + 3 * (frame - 1), height, 3 * 8) if frame <= 8 else ()
+            pos = positions([(x + 0.5, y + 0.5) for y in rows for x in range(width)], frame=frame)
             crowd_step(cg, pos)
-            # only `update` is traced: stamping the people allocates on its own
-            tracemalloc.start()
-            try:
-                lt.update(cg.values, cg.live_rects)
-                peak = max(peak, tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peak < cg.values.nbytes // 4
-
-
-def band_windows(rng, width: int, height: int) -> list[int]:
-    """Per band of 16 rows, the first of the four 64-column chunks most of its stamps go to.
-
-    The first band's window holds column 0, the last band's the grid's last column.
-    """
-    chunks, bands = -(-width // 64), -(-height // 16)
-    middle = rng.integers(0, chunks - 4, size=max(bands - 2, 0)).tolist()
-    return [0, *middle, chunks - 4][:bands] if bands > 1 else [0]
-
-
-def tile_edge_frames(rng, windows: list[int], n_frames: int, width: int, height: int,
-                     scale: float):
-    """Frames of 0-4 people, or ("gap", k) for k frames with nobody, on tile and grid edges.
-
-    A stamp's centre lands on a row either side of a band edge and a column
-    either side of a chunk edge in its band's window, so the kernel's +-1
-    cells cross into bands and chunks no centre has reached, and bands start
-    narrow.  Later, more and more stamps land anywhere, which widens bands to
-    whole rows; a few land off the grid.
-    """
-    frames = []
-    for frame in range(n_frames):
-        if rng.random() < 0.1:
-            frames.append(("gap", int(rng.integers(1, 40))))
-            continue
-        points = []
-        for _ in range(int(rng.integers(0, 5))):
-            band = int(rng.integers(0, len(windows)))
-            row = band * 16 + rng.choice([-1, 0, 1, 7, 14, 15])
-            col = (windows[band] + int(rng.integers(0, 4))) * 64 + rng.choice([-2, -1, 0, 1])
-            if band == len(windows) - 1 and rng.random() < 0.2:
-                col = width - 1  # the first window holds column 0 already
-            roll = rng.random()
-            if roll < 0.06 * frame / n_frames:
-                row, col = band * 16 + int(rng.integers(0, 16)), int(rng.integers(0, width))
-            elif roll > 0.93:
-                off_grid = [(-1, col), (height, col), (row, -1), (row, width)]
-                row, col = off_grid[int(rng.integers(0, 4))]
-            points.append(((col + rng.uniform(0.25, 0.75)) * scale,
-                           (row + rng.uniform(0.25, 0.75)) * scale))
-        frames.append(("step", positions(points)))
-    return frames
-
-
-class TestLiveRects:
-    """Crowd recurrences on the live rectangles against the same recurrences on the whole grid."""
-
-    @pytest.mark.parametrize("height,width,prefill,seed", [
-        (45, 1500, False, 0), (37, 1419, True, 1), (70, 2100, True, 2),
-        (23, 1400, False, 3), (45, 1500, True, 4), (37, 1419, False, 5),
-        (37, 300, True, 6),  # too narrow to cut a band down: whole rows only
-    ])
-    def test_bit_identical_to_full_grid_recurrence(self, height, width, prefill, seed):
-        rng = np.random.default_rng(seed)
-        scale, gamma, s = 1.5, 0.97, 0.9
-        windows = band_windows(rng, width, height)
-        start = np.zeros((height, width))
-        if prefill:  # mass in each band's window where no stamp lands, and in the corners
-            for band, chunk in enumerate(windows):
-                start[min(band * 16 + 4, height - 1), chunk * 64 + 30] = rng.uniform(0.5, 3.0)
-            start[0, 0] = start[-1, -1] = 1.0
-        given = RiskGrid(width, height, scale, values=start.copy()) if prefill else None
-        cg = CrowdGrid(width, height, decay_gamma=gamma, cell_scale=scale, grid=given)
-        lt = LongTermCrowd(width, height, smoothing=s)
-        ref = RiskGrid(width, height, scale, values=start.copy())
-        ref_long = np.zeros((height, width))
-        narrow = whole = 0
-        for kind, event in tile_edge_frames(rng, windows, 300, width, height, scale):
-            if kind == "gap":
-                advance_empty(cg, lt, event)
-                ref_long *= s ** event
-                ref_long += ref.values * ((1.0 - s) * gamma * decay_sum(s, gamma, event))
-                ref.values *= gamma ** event
-            else:
-                crowd_step(cg, event)
-                lt.update(cg.values, cg.live_rects)
-                ref.values *= gamma
-                accumulate_tracking(ref, event)
-                ref_long *= s
-                ref_long += ref.values * (1.0 - s)
-            assert np.array_equal(cg.values, ref.values)
-            assert np.array_equal(lt.values, ref_long)
-            skipped = outside(cg.live_rects, (height, width))
-            assert not cg.values.view(np.uint64)[skipped].any()
-            assert not lt.values.view(np.uint64)[skipped].any()
-            narrow += sum(cols != slice(0, width) for _, cols in cg.live_rects)
-            whole += sum(cols == slice(0, width) for _, cols in cg.live_rects)
-        assert cg.grid.dropped == ref.dropped > 0
-        assert whole > 0 and (narrow > 0) == (width > 1024 + 64)
-        rows = [r for rect_rows, _ in cg.live_rects for r in range(rect_rows.start, rect_rows.stop)]
-        assert rows == sorted(set(rows))  # disjoint, in row order
+            lt.update(cg)
+            ref.step(pos)
+        assert cg.values.all()
+        tracemalloc.start()
+        try:
+            advance_to(cg, lt, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cg.values.nbytes // 4  # whole-grid temporaries would take several grids
+        assert_matches(cg, lt, ref)
 
 
 def test_grid_zeros_is_a_fresh_writable_zero_grid():
@@ -465,39 +438,36 @@ def test_grid_zeros_is_a_fresh_writable_zero_grid():
 
 
 class TestAdvanceEmpty:
-    @pytest.mark.parametrize("gamma,smoothing", [
-        (0.99, 0.999),
-        (0.999, 0.999),  # s == g
-        (0.99, 0.99 * (1 + 1e-9)),  # s within a hair of g
-        (1.0, 0.999),  # no decay
-        (0.99, 0.0),  # no smoothing
-        (0.999, 0.9),  # g > s
-    ])
+    """A stretch of frames with nobody in it leaves the clocks behind; advance_to catches up."""
+
+    @pytest.mark.parametrize("gamma,smoothing", DECAY_PAIRS)
     @pytest.mark.parametrize("k", [1, 2, 37, 3000])
     def test_matches_per_frame_recurrence(self, gamma, smoothing, k):
-        cg, lt = stamped_pair(gamma, smoothing)
-        ref_cg, ref_lt = copy.deepcopy(cg), copy.deepcopy(lt)
-        for j in range(k):
-            crowd_step(ref_cg, positions([], frame=100 + j))
-            ref_lt.update(ref_cg.values, ref_cg.live_rects)
-        advance_empty(cg, lt, k)
-        for ref in (ref_cg.values, ref_lt.values):  # a tolerance on subnormals would be loose
-            assert ref[ref > 0].min() > np.finfo(float).tiny
-        np.testing.assert_allclose(cg.values, ref_cg.values, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(lt.values, ref_lt.values, rtol=1e-12, atol=0)
-        assert np.array_equal(cg.values == 0, ref_cg.values == 0)
+        cg, lt, ref = stamped_pair(gamma, smoothing)
+        for _ in range(k):
+            ref.step()
+        assert_up_to_date(cg, lt, ref, 12 + k)
 
     @pytest.mark.parametrize("s,g", [(0.999, 0.99), (0.99, 0.999), (0.7, 0.7),
                                      (0.0, 0.99), (0.99, 1.0), (0.99 * (1 + 1e-9), 0.99)])
     @pytest.mark.parametrize("k", [1, 2, 60])
     def test_decay_sum_exact(self, s, g, k):
-        exact = sum(Fraction(s) ** (k - 1 - j) * Fraction(g) ** j for j in range(k))
-        assert decay_sum(s, g, k) == pytest.approx(float(exact), rel=1e-14)
+        def exact(n: int) -> float:
+            return float(sum(Fraction(s) ** (n - 1 - j) * Fraction(g) ** j for j in range(n)))
+
+        assert decay_sum(s, g, k) == pytest.approx(exact(k), rel=1e-14)
+        ks = np.array([0, 1, k, 3 * k])
+        np.testing.assert_allclose(decay_sum(s, g, ks), [exact(n) for n in ks.tolist()],
+                                   rtol=1e-14, atol=0)
+        assert decay_sum(s, g, 0) == 0.0
 
     def test_rejects_empty_stretch(self):
-        cg, lt = stamped_pair(0.99, 0.999)
-        with pytest.raises(ValueError):
-            advance_empty(cg, lt, 0)
+        cg, lt, _ = stamped_pair(0.99, 0.999)  # frames 1-12
+        with pytest.raises(ValueError, match="not after"):
+            crowd_step(cg, positions([], frame=12))
+        with pytest.raises(ValueError, match="not after"):
+            advance_to(cg, lt, 11)
+        advance_to(cg, lt, 12)  # a stretch of no frames: nothing to do
 
 
 class TestNormalize:
