@@ -36,7 +36,7 @@ from .geometry import (
     project_to_bev,
     projection_matrix,
 )
-from .pipeline import FrameReport, PipelineError, PipelineSummary, run_pipeline
+from .pipeline import PipelineError, PipelineSummary, run_pipeline
 from .risk import (
     CrowdGrid,
     RiskGrid,

@@ -13,11 +13,14 @@ of cells that are tight under the solver's potentials, where the missing
 side is padding whose columns (the indices >= m) come after every real
 column, so each row prefers a real column over being unmatched simply by
 taking columns in ascending order.
+
+The result is three intp index arrays, the matched pairs and each side's
+leftovers, which the tracker gates and indexes its rows with as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +29,22 @@ import numpy as np
 _TIE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Partition of rows (tracks) and columns (detections) into matches and leftovers."""
+    """Partition of rows (tracks) and columns (detections) into matches and leftovers.
 
-    matches: list[tuple[int, int]]
-    unmatched_tracks: list[int] = field(default_factory=list)
-    unmatched_detections: list[int] = field(default_factory=list)
+    All three are intp arrays: `matches` the (k, 2) (row, column) pairs in
+    row order, the other two sorted 1-D arrays.
+    """
+
+    matches: np.ndarray
+    unmatched_tracks: np.ndarray
+    unmatched_detections: np.ndarray
+
+    @classmethod
+    def unmatched(cls, n: int, m: int) -> "Assignment":
+        """No pair: every one of n rows and m columns left over."""
+        return cls(np.zeros((0, 2), dtype=np.intp), np.arange(n), np.arange(m))
 
 
 def solve_assignment(cost: np.ndarray) -> Assignment:
@@ -56,7 +68,7 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
         raise ValueError(f"cost matrix must be 2-D, got ndim={cost.ndim}")
     n, m = cost.shape
     if n == 0 or m == 0:
-        return Assignment([], list(range(n)), list(range(m)))
+        return Assignment.unmatched(n, m)
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
 
@@ -86,11 +98,11 @@ def solve_assignment(cost: np.ndarray) -> Assignment:
     col_of_track = _lex_refine(tight, col_of_track, n)
 
     real = col_of_track[:n] < m
-    rows = real.nonzero()[0]
+    rows = np.flatnonzero(real)
     return Assignment(
-        matches=list(zip(rows.tolist(), col_of_track[rows].tolist())),
-        unmatched_tracks=(~real).nonzero()[0].tolist(),
-        unmatched_detections=np.sort(col_of_track[n:]).tolist(),
+        matches=np.stack([rows, col_of_track[rows]], axis=1),
+        unmatched_tracks=np.flatnonzero(~real),
+        unmatched_detections=np.sort(col_of_track[n:]),
     )
 
 

@@ -45,23 +45,6 @@ class PipelineError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FrameReport:
-    frame: int
-    total: int
-    red: int
-    yellow_pairs: int
-    green: int
-    new_ids: int
-    dead_ids: int
-
-    def row(self) -> str:
-        return (
-            f"{self.frame},{self.total},{self.red},{self.yellow_pairs},"
-            f"{self.green},{self.new_ids},{self.dead_ids}"
-        )
-
-
-@dataclass(frozen=True)
 class PipelineSummary:
     frames_processed: int
     detections_ingested: int
@@ -138,7 +121,7 @@ def run_pipeline(
     registry = CoupleRegistry()
 
     track_text: list[str] = []  # one string per frame
-    reports: list[FrameReport | range] = []
+    stats_rows: list[str | range] = []  # a row's text, or a range of frames with nobody
     frames_processed = 0
     processed = 0  # detection rows at or above the confidence threshold
     person_frames = 0
@@ -154,7 +137,7 @@ def run_pipeline(
                 # Idle tracker, no boxes: each step would only record its frame,
                 # the couple counters stay empty and every stats row is zero.
                 if not tracks_only:
-                    reports.append(range(frame, frame + k))
+                    stats_rows.append(range(frame, frame + k))
                 frames_processed += k
                 continue
 
@@ -180,17 +163,11 @@ def run_pipeline(
                 crowd_step(crowd, pos)
                 long_term.update(crowd)
 
-            report = FrameReport(
-                frame=frame,
-                total=stats.total,
-                red=stats.red,
-                yellow_pairs=stats.yellow_pairs,
-                green=stats.green,
-                new_ids=len(tracker.last_spawned),
-                dead_ids=len(tracker.last_removed),
+            assert stats.total == stats.red + 2 * stats.yellow_pairs + stats.green
+            stats_rows.append(
+                f"{frame},{stats.total},{stats.red},{stats.yellow_pairs},{stats.green},"
+                f"{len(tracker.last_spawned)},{len(tracker.last_removed)}\n"
             )
-            assert report.total == report.red + 2 * report.yellow_pairs + report.green
-            reports.append(report)
 
             person_frames += stats.total
             red_frames += stats.red
@@ -213,7 +190,7 @@ def run_pipeline(
         # the tracking grid is also the presence layer: its drops count for both
         dropped = (2 * tracking_grid.dropped + violation_grid.layer_r.dropped
                    + violation_grid.layer_y.dropped + crowd.grid.dropped)
-        _write_stats(os.path.join(out, "stats.csv"), reports)
+        _write_stats(os.path.join(out, "stats.csv"), stats_rows)
         tables = {
             "tracking_grid": tracking_grid.values,
             "violation_grid": violation_grid.combined(tracking_grid.values),
@@ -248,15 +225,15 @@ def run_pipeline(
     return summary
 
 
-def _write_stats(path: str, reports: list[FrameReport | range]) -> None:
-    """One row per report; a range stands for frames with nobody in them."""
+def _write_stats(path: str, rows: list[str | range]) -> None:
+    """The header, then each row's text; a range stands for frames with nobody in them."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(STATS_HEADER + "\n")
-        for report in reports:
-            if isinstance(report, range):
-                fh.writelines(f"{frame},0,0,0,0,0,0\n" for frame in report)
+        for row in rows:
+            if isinstance(row, range):
+                fh.writelines(f"{frame},0,0,0,0,0,0\n" for frame in row)
             else:
-                fh.write(report.row() + "\n")
+                fh.write(row)
 
 
 def _write_rasters(out: str, tables: dict[str, np.ndarray]) -> list[str]:

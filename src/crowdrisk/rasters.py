@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .risk import normalize, row_runs
+from .risk import _HEAP_CELLS, normalize, row_runs
 
 
 def _live_cells(*grids: np.ndarray) -> np.ndarray:
@@ -53,13 +53,13 @@ def _gather(values: np.ndarray, live: np.ndarray) -> np.ndarray:
     return np.concatenate([values.take(live), np.zeros(min(values.size - len(live), 1))])
 
 
-# Background rows go out in writes of at most this many bytes, so their
-# cached block and its copies stay below glibc's initial mmap threshold
-# (128 KiB): freeing a multi-MB temporary would raise that threshold, later
-# multi-MB arrays would then stay resident on the heap after they are freed,
-# and the run's peak memory would grow by an amount that follows where the
-# live rows fall.
-_BLOCK_BYTES = 64 * 1024
+# Background rows go out in writes of at most this many bytes, those of a
+# float temporary of _HEAP_CELLS cells, so their cached block and its copies
+# stay below glibc's initial mmap threshold (128 KiB): freeing a multi-MB
+# temporary would raise that threshold, later multi-MB arrays would then
+# stay resident on the heap after they are freed, and the run's peak memory
+# would grow by an amount that follows where the live rows fall.
+_BLOCK_BYTES = _HEAP_CELLS * np.dtype(float).itemsize
 
 
 def _write_raster(path: str, magic: str, maxval: int, shape: tuple[int, int],
@@ -105,11 +105,6 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
     _write_raster(path, "P5", 65535, values.shape, live, samples)
 
 
-# Cells converted per block: each float temporary of a block is 64 KiB,
-# below glibc's initial mmap threshold, however many cells are live.
-_BLOCK_CELLS = 8192
-
-
 def _hue_block_to_rgb(hue_deg: np.ndarray, out: np.ndarray) -> None:
     """Write the uint8 RGB of a 1-D block of hues (degrees) into out (n, 3)."""
     h = hue_deg / 60.0
@@ -130,13 +125,14 @@ def hue_to_rgb(hue_deg: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Convert a hue raster to uint8 RGB at maximum saturation and value.
 
     Hues are in degrees after multiplying by `scale`.  The raster is
-    converted in blocks into one preallocated (..., 3) array.
+    converted in blocks of _HEAP_CELLS cells into one preallocated (..., 3)
+    array, so each float temporary stays below glibc's mmap threshold.
     """
     hue = np.asarray(hue_deg, dtype=float)
     flat = hue.reshape(-1)
     rgb = np.empty((flat.size, 3), dtype=np.uint8)
-    for start in range(0, flat.size, _BLOCK_CELLS):
-        block = flat[start:start + _BLOCK_CELLS]
+    for start in range(0, flat.size, _HEAP_CELLS):
+        block = flat[start:start + _HEAP_CELLS]
         _hue_block_to_rgb(block * scale, rgb[start:start + len(block)])
     return rgb.reshape(hue.shape + (3,))
 

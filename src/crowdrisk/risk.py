@@ -302,8 +302,12 @@ class LongTermCrowd:
         self.values = grid_zeros(self.height, self.width)
 
     def update(self, crowd: CrowdGrid) -> None:
-        """Fold in the cells crowd's latest `crowd_step` brought up to date; once per step."""
+        """Fold in the cells crowd's latest `crowd_step` brought up to date.
+
+        The step's record is consumed: a repeat before the next step folds nothing.
+        """
         cells, gaps, before = crowd._stamped
+        crowd._stamped = _NO_CELLS, _NO_VALUES, _NO_VALUES
         self._catch_up(cells, gaps, before, crowd.values.reshape(-1)[cells], crowd.decay_gamma)
 
     def _catch_up(self, cells: np.ndarray, gaps: np.ndarray, before: np.ndarray,

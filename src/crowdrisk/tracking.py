@@ -10,7 +10,9 @@ track and one batched update over the matched rows; `Tracker.tracks` copies
 those arrays out.  `kalman_predict` and `kalman_update` accept any leading
 batch shape, and each row of a batched call is bit-identical to the
 single-state call.  Predicted boxes are associated to detections as (n, 4)
-arrays by minimum 1-IoU cost, gated, and tracks move through a Tentative ->
+arrays by minimum 1-IoU cost and gated; the matches come back as a (k, 2)
+array of (track row, detection row) pairs that index the track arrays and
+the detection rows directly.  Tracks move through a Tentative ->
 Confirmed -> Dead lifecycle; dead tracks leave the arrays in the frame they
 die.
 
@@ -229,25 +231,26 @@ def associate(tracks, detections, iou_gate: float) -> Assignment:
     """Match tracks to detections by minimum 1-IoU cost.
 
     Both sides are (n, 4) arrays of center-format boxes; the matches are
-    (track row, detection row) pairs.  Pairs with IoU below the gate are forbidden: the solver may pair them,
-    but they are moved back to the unmatched sets afterwards.
+    (track row, detection row) pairs.  Pairs with IoU below the gate are
+    forbidden: the solver may pair them, but they are moved back to the
+    unmatched sets afterwards.
     """
     if not (0.0 <= iou_gate <= 1.0):
         raise ValueError(f"iou_gate must be in [0, 1], got {iou_gate}")
     if not len(tracks) or not len(detections):
-        return Assignment([], list(range(len(tracks))), list(range(len(detections))))
+        return Assignment.unmatched(len(tracks), len(detections))
 
     overlap = iou_matrix(tracks, detections)
     raw = solve_assignment(1.0 - overlap)
 
-    ti, di = map(np.array, zip(*raw.matches))  # min(n, m) >= 1 matches
+    ti, di = raw.matches.T
     keep = overlap[ti, di] >= iou_gate
     if keep.all():
         return raw
-    gated = ~keep
-    return Assignment(list(zip(ti[keep].tolist(), di[keep].tolist())),
-                      sorted(raw.unmatched_tracks + ti[gated].tolist()),
-                      sorted(raw.unmatched_detections + di[gated].tolist()))
+    gated = raw.matches[~keep]
+    return Assignment(raw.matches[keep],
+                      np.sort(np.concatenate([raw.unmatched_tracks, gated[:, 0]])),
+                      np.sort(np.concatenate([raw.unmatched_detections, gated[:, 1]])))
 
 
 class Tracker:
@@ -327,8 +330,8 @@ class Tracker:
         det_boxes, det_conf = det[:, :4], det[:, 4]
         assign = associate(boxes_from_states(t.x), det_boxes, self.iou_gate)
 
-        if assign.matches:
-            ti, di = np.array(assign.matches).T
+        ti, di = assign.matches.T
+        if len(ti):
             z = measurements_from_boxes(det_boxes[di])
             updated = kalman_update(TrackState(t.x[ti], t.P[ti]), z, self.kalman)
             t.x[ti], t.P[ti] = updated.x, updated.P
@@ -337,7 +340,7 @@ class Tracker:
             t.conf[ti] = det_conf[di]
         t.time_since_update[assign.unmatched_tracks] += 1
         new = assign.unmatched_detections
-        if new:
+        if len(new):
             t = t.concat(TrackArrays.spawn(self._next_id, det_boxes[new], det_conf[new],
                                            self.kalman))
         spawned = list(range(self._next_id, self._next_id + len(new)))

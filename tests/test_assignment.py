@@ -12,9 +12,9 @@ from crowdrisk.assignment import solve_assignment
 from crowdrisk.geometry import iou_matrix
 
 
-def brute_force(cost: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
+def brute_force(cost: np.ndarray) -> tuple[float, list[list[int]]]:
     """Exhaustive minimum over all maximal matchings; among optima, the
-    lexicographically smallest match set."""
+    lexicographically smallest match set, as [row, column] pairs."""
     n, m = cost.shape
     best_total = math.inf
     best_sets: list[list[tuple[int, int]]] = []
@@ -34,30 +34,52 @@ def brute_force(cost: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
                 best_total, best_sets = total, [pairs]
             elif abs(total - best_total) <= 1e-12:
                 best_sets.append(pairs)
-    return best_total, min(best_sets)
+    return best_total, [list(pair) for pair in min(best_sets)]
+
+
+def assert_same(out, expected) -> None:
+    """Equal fields: the same intp arrays, shapes and values."""
+    for name in ("matches", "unmatched_tracks", "unmatched_detections"):
+        got, want = getattr(out, name), getattr(expected, name)
+        assert got.dtype == want.dtype == np.intp
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def assert_index_arrays(out, k: int, a: int, b: int) -> None:
+    """intp fields of shapes (k, 2), (a,) and (b,)."""
+    assert out.matches.dtype == out.unmatched_tracks.dtype == np.intp
+    assert out.unmatched_detections.dtype == np.intp
+    assert out.matches.shape == (k, 2)
+    assert out.unmatched_tracks.shape == (a,)
+    assert out.unmatched_detections.shape == (b,)
 
 
 class TestExamples:
     def test_single_cell(self):
         out = solve_assignment(np.array([[7.0]]))
-        assert out.matches == [(0, 0)]
-        assert out.unmatched_tracks == []
-        assert out.unmatched_detections == []
+        assert out.matches.tolist() == [[0, 0]]
+        assert out.unmatched_tracks.tolist() == []
+        assert out.unmatched_detections.tolist() == []
 
     def test_two_by_two_diagonal(self):
         out = solve_assignment(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert out.matches == [(0, 0), (1, 1)]
+        assert out.matches.tolist() == [[0, 0], [1, 1]]
 
     def test_two_by_two_antidiagonal(self):
         out = solve_assignment(np.array([[4.0, 1.0], [2.0, 3.0]]))
-        assert out.matches == [(0, 1), (1, 0)]
+        assert out.matches.tolist() == [[0, 1], [1, 0]]
 
     def test_empty_inputs(self):
         out = solve_assignment(np.zeros((0, 3)))
-        assert out.matches == []
-        assert out.unmatched_detections == [0, 1, 2]
+        assert out.matches.tolist() == []
+        assert out.unmatched_detections.tolist() == [0, 1, 2]
         out = solve_assignment(np.zeros((2, 0)))
-        assert out.unmatched_tracks == [0, 1]
+        assert out.unmatched_tracks.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (2, 0), (2, 3), (3, 2)])
+    def test_fields_are_index_arrays(self, n, m):
+        k = min(n, m)
+        assert_index_arrays(solve_assignment(np.ones((n, m))), k, n - k, m - k)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -77,7 +99,7 @@ class TestAgainstBruteForce:
             total = math.fsum(cost[i, j] for i, j in out.matches)
             expected_total, expected_set = brute_force(cost)
             assert total == pytest.approx(expected_total, abs=1e-9)
-            assert sorted(out.matches) == expected_set
+            assert sorted(out.matches.tolist()) == expected_set
 
     def test_tie_heavy_integer_costs(self):
         """Small integer costs force many optimal solutions; the solver must
@@ -91,7 +113,7 @@ class TestAgainstBruteForce:
             expected_total, expected_set = brute_force(cost)
             total = math.fsum(cost[i, j] for i, j in out.matches)
             assert total == expected_total
-            assert sorted(out.matches) == expected_set
+            assert sorted(out.matches.tolist()) == expected_set
 
     def test_partition_invariant(self):
         rng = np.random.default_rng(5)
@@ -102,17 +124,17 @@ class TestAgainstBruteForce:
 
     def test_all_equal_costs_prefers_lowest_indices(self):
         out = solve_assignment(np.ones((3, 3)))
-        assert out.matches == [(0, 0), (1, 1), (2, 2)]
+        assert out.matches.tolist() == [[0, 0], [1, 1], [2, 2]]
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
         cost = rng.random((6, 4))
         first = solve_assignment(cost)
         for _ in range(5):
-            assert solve_assignment(cost) == first
+            assert_same(solve_assignment(cost), first)
 
 
-def lex_min_optimum(cost: np.ndarray, linear_sum_assignment) -> list[tuple[int, int]]:
+def lex_min_optimum(cost: np.ndarray, linear_sum_assignment) -> list[list[int]]:
     """The tie rule row by row: each row takes the first free real column, or
     else stays unmatched, from which a maximal matching of optimal total is
     still reachable.  Exact on integer costs, where every total is exact."""
@@ -127,7 +149,7 @@ def lex_min_optimum(cost: np.ndarray, linear_sum_assignment) -> list[tuple[int, 
         return float(sub[r, c].sum())
 
     optimum = best(list(range(n)), list(range(m)))
-    matches: list[tuple[int, int]] = []
+    matches: list[list[int]] = []
     spent = 0.0
     for i in range(n):
         free = [c for c in range(m) if c not in {j for _, j in matches}]
@@ -141,7 +163,7 @@ def lex_min_optimum(cost: np.ndarray, linear_sum_assignment) -> list[tuple[int, 
         else:
             raise AssertionError(f"row {i}: no choice reaches the optimum")
         if j is not None:
-            matches.append((i, j))
+            matches.append([i, j])
             spent += cost[i, j]
     return matches
 
@@ -158,7 +180,7 @@ class TestTieRuleBeyondBruteForce:
             equal = rng.random(n) < 0.3
             cost[equal] = rng.integers(0, 3, size=(int(equal.sum()), 1))
             expected = lex_min_optimum(cost, optimize.linear_sum_assignment)
-            assert solve_assignment(cost).matches == expected
+            assert solve_assignment(cost).matches.tolist() == expected
 
     @pytest.mark.parametrize("shape", [(40, 8), (8, 40), (30, 5), (5, 30)])
     def test_lopsided_with_equal_rows_and_columns(self, shape):
@@ -174,12 +196,12 @@ class TestTieRuleBeyondBruteForce:
             equal_cols = rng.random(m) < 0.3
             cost[:, equal_cols] = rng.integers(0, 3, size=(1, int(equal_cols.sum())))
             expected = lex_min_optimum(cost, optimize.linear_sum_assignment)
-            assert solve_assignment(cost).matches == expected
+            assert solve_assignment(cost).matches.tolist() == expected
 
 
 def assert_partition(out, n: int, m: int) -> None:
-    rows = sorted([i for i, _ in out.matches] + out.unmatched_tracks)
-    cols = sorted([j for _, j in out.matches] + out.unmatched_detections)
+    rows = sorted(out.matches[:, 0].tolist() + out.unmatched_tracks.tolist())
+    cols = sorted(out.matches[:, 1].tolist() + out.unmatched_detections.tolist())
     assert rows == list(range(n))
     assert cols == list(range(m))
     assert len(out.matches) == min(n, m)
@@ -214,4 +236,4 @@ class TestLargeAgainstScipy:
 
     def test_all_equal_costs_give_identity(self):
         out = solve_assignment(np.ones((1000, 1000)))
-        assert out.matches == [(i, i) for i in range(1000)]
+        assert out.matches.tolist() == [[i, i] for i in range(1000)]

@@ -43,4 +43,4 @@ def tied_costs(draw) -> np.ndarray:
 @given(tied_costs())
 def test_equals_brute_force(cost):
     _, expected = brute_force(cost)
-    assert solve_assignment(cost).matches == expected
+    assert solve_assignment(cost).matches.tolist() == expected

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +284,22 @@ def readme_config_block() -> str:
     """The fenced ini block of the README's Configuration section."""
     section = README.read_text().split("## Configuration", 1)[1]
     return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def readme_python_blocks() -> list[str]:
+    """The README's fenced python blocks, in order."""
+    return [part.split("```", 1)[0] for part in README.read_text().split("```python\n")[1:]]
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """Each python block runs on its own against the package sources."""
+    blocks = readme_python_blocks()
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, f"{block}\n{proc.stderr}"
 
 
 class TestReadmeExample:

@@ -208,6 +208,20 @@ class TestCrowdGrid:
         assert np.allclose(cg.values, 0.75 * kernel)
         assert np.allclose(lt.values, (0.9 * 0.24 + 0.1 * 0.75) * kernel)
 
+    def test_repeat_update_folds_nothing(self):
+        """A second update after one step leaves the average as one update did."""
+        pairs = [(CrowdGrid(8, 8, decay_gamma=0.99), LongTermCrowd(8, 8, smoothing=0.9))
+                 for _ in range(2)]
+        for frame in (1, 2):
+            for updates, (cg, lt) in enumerate(pairs, start=1):
+                crowd_step(cg, positions([(3.5, 3.5)], frame=frame))
+                for _ in range(updates):
+                    lt.update(cg)
+            (cg1, once), (cg2, twice) = pairs
+            assert once.values.any()
+            assert np.array_equal(twice.values, once.values)
+            assert np.array_equal(cg2.values, cg1.values)
+
 
 def stamp_loop(grid: RiskGrid, pos: FramePositions, ids=None) -> None:
     """Reference: one scalar stamp_kernel call per person, in row order."""

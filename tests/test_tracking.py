@@ -16,7 +16,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from boxes import box_rows, measure, state_from_box  # noqa: E402
-from test_assignment import brute_force  # noqa: E402
+from test_assignment import assert_index_arrays, brute_force  # noqa: E402
 
 from crowdrisk.assignment import solve_assignment
 from crowdrisk.geometry import BBox, iou, iou_matrix
@@ -124,20 +124,20 @@ class TestAssociate:
     def test_identical_box_matches(self):
         box = np.array([[5, 5, 4, 4]])
         out = associate(box, box, iou_gate=0.3)
-        assert out.matches == [(0, 0)]
+        assert out.matches.tolist() == [[0, 0]]
 
     def test_disjoint_boxes_unmatched(self):
         out = associate(np.array([[0, 0, 2, 2]]), np.array([[50, 50, 2, 2]]), iou_gate=0.3)
-        assert out.matches == []
-        assert out.unmatched_tracks == [0]
-        assert out.unmatched_detections == [0]
+        assert out.matches.tolist() == []
+        assert out.unmatched_tracks.tolist() == [0]
+        assert out.unmatched_detections.tolist() == [0]
 
     def test_crossing_pairs_resolved_by_overlap(self):
         # two tracks and two detections; diagonal IoUs dominate
         tracks = np.array([[0, 0, 10, 10], [20, 0, 10, 10]], dtype=float)
         dets = np.array([[2, 0, 10, 10], [22, 0, 10, 10]], dtype=float)
         out = associate(tracks, dets, iou_gate=0.3)
-        assert sorted(out.matches) == [(0, 0), (1, 1)]
+        assert sorted(out.matches.tolist()) == [[0, 0], [1, 1]]
         # brute force over both pairings on the same cost, with the scalar iou
         t, d = [BBox(*b) for b in tracks], [BBox(*b) for b in dets]
         straight = iou(t[0], d[0]) + iou(t[1], d[1])
@@ -146,11 +146,26 @@ class TestAssociate:
 
     def test_gate_forbids_weak_pairs(self):
         out = associate(np.array([[0, 0, 10, 10]]), np.array([[9, 0, 10, 10]]), iou_gate=0.3)
-        assert out.matches == []  # IoU 1/19 < 0.3, solver pairing stripped
+        assert out.matches.tolist() == []  # IoU 1/19 < 0.3, solver pairing stripped
 
     def test_empty_inputs(self):
         out = associate(np.zeros((0, 4)), np.zeros((0, 4)), iou_gate=0.3)
-        assert out.matches == []
+        assert out.matches.tolist() == []
+
+    def test_results_are_index_arrays(self):
+        """No tracks, no detections, and every solver pair gated away."""
+        boxes = np.array([[0, 0, 10, 10], [100, 0, 10, 10]], dtype=float)
+        far = boxes + [0, 500, 0, 0]
+        assert_index_arrays(associate(np.zeros((0, 4)), boxes, 0.3), 0, 0, 2)
+        assert_index_arrays(associate(boxes, np.zeros((0, 4)), 0.3), 0, 2, 0)
+        gated = associate(boxes, far, 0.3)
+        assert_index_arrays(gated, 0, 2, 2)
+        assert gated.unmatched_tracks.tolist() == gated.unmatched_detections.tolist() == [0, 1]
+        half = associate(boxes, np.array([boxes[1], far[0]]), 0.3)
+        assert_index_arrays(half, 1, 1, 1)
+        assert half.matches.tolist() == [[1, 0]]
+        assert half.unmatched_tracks.tolist() == [0]
+        assert half.unmatched_detections.tolist() == [1]
 
 
 def tie_boxes(rng: np.random.Generator, count: int, pool: np.ndarray) -> np.ndarray:
@@ -198,13 +213,14 @@ class TestAssociateAgainstBruteForce:
         overlap = iou_matrix(tracks, dets)
         cost = 1.0 - overlap
         _, pairs = brute_force(cost)
-        assert solve_assignment(cost).matches == pairs
+        assert solve_assignment(cost).matches.tolist() == pairs
         for gate in (0.0, 0.3, 1.0):
             out = associate(tracks, dets, iou_gate=gate)
-            assert out.matches == [(i, j) for i, j in pairs if overlap[i, j] >= gate]
-            assert out.unmatched_tracks == sorted(set(range(n)) - {i for i, _ in out.matches})
-            assert out.unmatched_detections == sorted(
-                set(range(m)) - {j for _, j in out.matches})
+            matches = out.matches.tolist()
+            assert matches == [[i, j] for i, j in pairs if overlap[i, j] >= gate]
+            assert out.unmatched_tracks.tolist() == sorted(set(range(n)) - {i for i, _ in matches})
+            assert out.unmatched_detections.tolist() == sorted(
+                set(range(m)) - {j for _, j in matches})
 
 
 class TestTrackerLifecycle:
