@@ -52,7 +52,6 @@ from .tracking import (
     KalmanParams,
     TrackArrays,
     Tracker,
-    TrackState,
     associate,
     kalman_predict,
     kalman_update,

@@ -272,9 +272,10 @@ class FrameStats:
 
 
 def frame_stats(labels: dict[int, ZoneLabel]) -> FrameStats:
-    red = sum(1 for z in labels.values() if z is ZoneLabel.HIGH_RISK)
-    yellow = sum(1 for z in labels.values() if z is ZoneLabel.POTENTIALLY_RISKY)
-    green = sum(1 for z in labels.values() if z is ZoneLabel.SAFE)
+    # list.count compares in C; a Counter would call the Python-level Enum.__hash__ per label
+    zones = list(labels.values())
+    yellow = zones.count(ZoneLabel.POTENTIALLY_RISKY)
     if yellow % 2:
         raise AssertionError("yellow people must come in exclusive pairs")
-    return FrameStats(total=len(labels), red=red, yellow_pairs=yellow // 2, green=green)
+    return FrameStats(total=len(zones), red=zones.count(ZoneLabel.HIGH_RISK),
+                      yellow_pairs=yellow // 2, green=zones.count(ZoneLabel.SAFE))

@@ -177,8 +177,6 @@ def run_pipeline(
                 peak_red = stats.red
                 peak_red_frame = frame
             frames_processed += 1
-        except PipelineError:
-            raise
         except Exception as exc:
             raise PipelineError(f"frame {frame}: {exc}") from exc
 

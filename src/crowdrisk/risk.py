@@ -67,7 +67,7 @@ class RiskGrid:
     width: int
     height: int
     cell_scale: float = RiskConfig.cell_scale
-    values: np.ndarray = field(default=None)  # type: ignore[assignment]
+    values: np.ndarray = field(init=False, repr=False)
     dropped: int = 0
 
     def __post_init__(self) -> None:
@@ -75,8 +75,7 @@ class RiskGrid:
             raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
         if self.cell_scale <= 0:
             raise ValueError(f"cell_scale must be positive, got {self.cell_scale}")
-        if self.values is None:
-            self.values = grid_zeros(self.height, self.width)
+        self.values = grid_zeros(self.height, self.width)
 
 
 def stamp_kernel(grid: RiskGrid, center: tuple[int, int]) -> RiskGrid:
@@ -158,15 +157,14 @@ class ViolationGrid:
     beta: float = RiskConfig.beta
     delta: float = RiskConfig.delta
     cell_scale: float = RiskConfig.cell_scale
-    layer_r: RiskGrid = field(default=None)  # type: ignore[assignment]
-    layer_y: RiskGrid = field(default=None)  # type: ignore[assignment]
+    layer_r: RiskGrid = field(init=False)
+    layer_y: RiskGrid = field(init=False)
 
     def __post_init__(self) -> None:
         if not all(c >= 0 and math.isfinite(c) for c in (self.alpha, self.beta, self.delta)):
             raise ValueError("risk coefficients must be finite and non-negative")
-        for name in ("layer_r", "layer_y"):
-            if getattr(self, name) is None:
-                setattr(self, name, RiskGrid(self.width, self.height, self.cell_scale))
+        self.layer_r = RiskGrid(self.width, self.height, self.cell_scale)
+        self.layer_y = RiskGrid(self.width, self.height, self.cell_scale)
 
     def combined(self, presence: np.ndarray) -> np.ndarray:
         """alpha*R + beta*presence + delta*Y, summed only on blocks of rows where a layer is live.

@@ -4,17 +4,17 @@ Each person carries a 7-component constant-velocity state
 [u, v, s, r, u', v', s'] — centroid, box area, aspect ratio, and their
 rates (aspect ratio is modelled as constant).  The tracker holds all live
 tracks as one structure of arrays (`TrackArrays`: means x (n, 7),
-covariances P (n, 7, 7), and id/hits/age/time-since-update/confidence/
-status vectors), so each frame runs one batched Kalman predict over every
-track and one batched update over the matched rows; `Tracker.tracks` copies
-those arrays out.  `kalman_predict` and `kalman_update` accept any leading
-batch shape, and each row of a batched call is bit-identical to the
-single-state call.  Predicted boxes are associated to detections as (n, 4)
-arrays by minimum 1-IoU cost and gated; the matches come back as a (k, 2)
-array of (track row, detection row) pairs that index the track arrays and
-the detection rows directly.  Tracks move through a Tentative ->
-Confirmed -> Dead lifecycle; dead tracks leave the arrays in the frame they
-die.
+covariances P (n, 7, 7), and id/hits/time-since-update/confidence/status
+vectors), so each frame runs one batched Kalman predict over every track
+and one batched update over the matched rows; `Tracker.tracks` copies those
+arrays out.  `kalman_predict` and `kalman_update` take and return plain
+(x, P) arrays of any leading batch shape, never writing to their inputs,
+and each row of a batched call is bit-identical to the single-state call.
+Predicted boxes are associated to detections as (n, 4) arrays by minimum
+1-IoU cost and gated; the matches come back as a (k, 2) array of (track
+row, detection row) pairs that index the track arrays and the detection
+rows directly.  Tracks move through a Tentative -> Confirmed -> Dead
+lifecycle; dead tracks leave the arrays in the frame they die.
 
 A frame comes in as one (m, 5) array of (cx, cy, w, h, conf) detection rows
 and leaves as one `FrameTracks` of arrays, its ground points projected in
@@ -99,29 +99,9 @@ def boxes_from_states(x: np.ndarray) -> np.ndarray:
     return np.stack([x[:, 0], x[:, 1], np.sqrt(s * r), np.sqrt(s / r)], axis=1)
 
 
-@dataclass
-class TrackState:
-    """Filter state: mean x (..., 7) and covariance P (..., 7, 7).
-
-    The component properties read the last axis, so they are scalars for
-    one state and vectors for a batch.
-    """
-
-    x: np.ndarray
-    P: np.ndarray
-
-    u = property(lambda self: self.x[..., 0])
-    v = property(lambda self: self.x[..., 1])
-    s = property(lambda self: self.x[..., 2])
-    r = property(lambda self: self.x[..., 3])
-    du = property(lambda self: self.x[..., 4])
-    dv = property(lambda self: self.x[..., 5])
-    ds = property(lambda self: self.x[..., 6])
-
-    @property
-    def degenerate(self):
-        """Box area or aspect ratio no longer describes a valid box."""
-        return (self.s <= 0.0) | (self.r <= 0.0)
+def degenerate(x: np.ndarray) -> np.ndarray:
+    """Where box area or aspect ratio of (..., 7) states no longer describes a valid box."""
+    return (x[..., 2] <= 0.0) | (x[..., 3] <= 0.0)
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -129,26 +109,27 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def kalman_predict(state: TrackState, params: KalmanParams = DEFAULT_KALMAN) -> TrackState:
-    """Constant-velocity propagation; covariance grows by the process noise."""
-    x = (TRANSITION @ state.x[..., None])[..., 0]
-    P = TRANSITION @ state.P @ TRANSITION.T + params.Q
+def kalman_predict(
+    x: np.ndarray, P: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
+) -> tuple[np.ndarray, np.ndarray]:
+    """Constant-velocity propagation of (x, P); covariance grows by the process noise."""
+    x = (TRANSITION @ x[..., None])[..., 0]
+    P = TRANSITION @ P @ TRANSITION.T + params.Q
     P = (P + _mT(P)) / 2.0
-    return TrackState(x=x, P=P)
+    return x, P
 
 
 def kalman_update(
-    state: TrackState, meas: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
-) -> TrackState:
-    """Standard Kalman correction against an observed box.
+    x: np.ndarray, P: np.ndarray, meas: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standard Kalman correction of means x (..., 7) and covariances P (..., 7, 7).
 
     `meas` is an array (..., 4) of (u, v, s, r) observations with the batch
-    shape of `state` (see `measurements_from_boxes`).  The gain splits the correction between
+    shape of `x` (see `measurements_from_boxes`).  The gain splits the correction between
     prediction and observation in proportion to their covariances.
     Joseph-form covariance update keeps P symmetric positive semidefinite.
     """
-    P = state.P
-    innovation = np.asarray(meas, dtype=float) - state.x[..., :MEAS_DIM]
+    innovation = np.asarray(meas, dtype=float) - x[..., :MEAS_DIM]
     # the observation matrix is a component selector, so H P H^T etc. are slices
     S = P[..., :MEAS_DIM, :MEAS_DIM] + params.R
     if not np.all(np.diagonal(S, axis1=-2, axis2=-1) > 0.0):
@@ -162,12 +143,12 @@ def kalman_update(
             "innovation covariance is not positive definite; check noise parameters"
         ) from None
     # matmul, not einsum: einsum sums in another order and moves the last bit
-    x = state.x + (K @ innovation[..., None])[..., 0]
+    x = x + (K @ innovation[..., None])[..., 0]
     I_KH = np.broadcast_to(_EYE_STATE, P.shape).copy()
     I_KH[..., :MEAS_DIM] -= K
     P_post = I_KH @ P @ _mT(I_KH) + (K * params.meas_noise_diag) @ _mT(K)
     P_post = (P_post + _mT(P_post)) / 2.0
-    return TrackState(x=x, P=P_post)
+    return x, P_post
 
 
 @dataclass
@@ -178,14 +159,13 @@ class TrackArrays:
     P: np.ndarray  # (n, 7, 7) state covariances
     id: np.ndarray  # (n,) track ids, increasing
     hits: np.ndarray  # (n,) matched detections, the spawning one included
-    age: np.ndarray  # (n,) predictions since spawn
     time_since_update: np.ndarray  # (n,) frames since the last match
     conf: np.ndarray  # (n,) confidence of the last matched detection
     confirmed: np.ndarray  # (n,) status: True once Confirmed, False while Tentative
 
     @classmethod
     def spawn(cls, first_id: int, boxes: np.ndarray, conf: np.ndarray,
-              params: KalmanParams) -> "TrackArrays":
+              params: KalmanParams = DEFAULT_KALMAN) -> "TrackArrays":
         """Tentative tracks for (m, 4) detection boxes, ids from first_id on."""
         m = len(boxes)
         x = np.zeros((m, STATE_DIM))
@@ -195,7 +175,6 @@ class TrackArrays:
             P=np.broadcast_to(params.P0(), (m, STATE_DIM, STATE_DIM)).copy(),
             id=np.arange(first_id, first_id + m, dtype=np.int64),
             hits=np.ones(m, dtype=np.int64),
-            age=np.zeros(m, dtype=np.int64),
             time_since_update=np.zeros(m, dtype=np.int64),
             conf=np.asarray(conf, dtype=float),
             confirmed=np.zeros(m, dtype=bool),
@@ -266,7 +245,6 @@ class Tracker:
         iou_gate: float = TrackerConfig.iou_gate,
         min_hits: int = TrackerConfig.min_hits,
         max_age: int = TrackerConfig.max_age,
-        kalman: KalmanParams = DEFAULT_KALMAN,
     ):
         if not (0.0 <= iou_gate <= 1.0):
             raise ValueError(f"iou_gate must be in [0, 1], got {iou_gate}")
@@ -278,8 +256,7 @@ class Tracker:
         self.iou_gate = iou_gate
         self.min_hits = min_hits
         self.max_age = max_age
-        self.kalman = kalman
-        self._tracks = TrackArrays.spawn(1, np.zeros((0, 4)), np.zeros(0), kalman)
+        self._tracks = TrackArrays.spawn(1, np.zeros((0, 4)), np.zeros(0))
         self._next_id = 1
         self._last_frame: int | None = None
         self.last_spawned: list[int] = []
@@ -319,10 +296,8 @@ class Tracker:
 
         t = self._tracks
         if len(t):
-            predicted = kalman_predict(TrackState(t.x, t.P), self.kalman)
-            t.x, t.P = predicted.x, predicted.P
-            t.age += 1
-            dead = predicted.degenerate
+            t.x, t.P = kalman_predict(t.x, t.P)
+            dead = degenerate(t.x)
             if dead.any():
                 removed.extend(t.id[dead].tolist())
                 t = t.select(~dead)
@@ -333,20 +308,18 @@ class Tracker:
         ti, di = assign.matches.T
         if len(ti):
             z = measurements_from_boxes(det_boxes[di])
-            updated = kalman_update(TrackState(t.x[ti], t.P[ti]), z, self.kalman)
-            t.x[ti], t.P[ti] = updated.x, updated.P
+            t.x[ti], t.P[ti] = kalman_update(t.x[ti], t.P[ti], z)
             t.hits[ti] += 1
             t.time_since_update[ti] = 0
             t.conf[ti] = det_conf[di]
         t.time_since_update[assign.unmatched_tracks] += 1
         new = assign.unmatched_detections
         if len(new):
-            t = t.concat(TrackArrays.spawn(self._next_id, det_boxes[new], det_conf[new],
-                                           self.kalman))
+            t = t.concat(TrackArrays.spawn(self._next_id, det_boxes[new], det_conf[new]))
         spawned = list(range(self._next_id, self._next_id + len(new)))
         self._next_id += len(new)
 
-        dead = TrackState(t.x, t.P).degenerate | (t.time_since_update > self.max_age)
+        dead = degenerate(t.x) | (t.time_since_update > self.max_age)
         if dead.any():
             removed.extend(t.id[dead].tolist())
             t = t.select(~dead)

@@ -8,7 +8,6 @@ from crowdrisk.tracking import (
     DEFAULT_KALMAN,
     KalmanParams,
     TrackArrays,
-    TrackState,
     measurements_from_boxes,
 )
 
@@ -23,7 +22,7 @@ def measure(box) -> np.ndarray:
     return measurements_from_boxes(np.array([box], dtype=float))[0]
 
 
-def state_from_box(box, params: KalmanParams = DEFAULT_KALMAN) -> TrackState:
-    """The filter state the tracker spawns for one (cx, cy, w, h) box."""
+def state_from_box(box, params: KalmanParams = DEFAULT_KALMAN) -> tuple[np.ndarray, np.ndarray]:
+    """The filter state (x, P) the tracker spawns for one (cx, cy, w, h) box."""
     t = TrackArrays.spawn(1, np.array([box], dtype=float), np.ones(1), params)
-    return TrackState(x=t.x[0], P=t.P[0])
+    return t.x[0], t.P[0]

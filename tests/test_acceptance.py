@@ -187,14 +187,14 @@ def test_homography_round_trip():
 @criterion("Kalman consistency: noiseless walker, error < 1e-6 by update 10, P symmetric 1e-9")
 def test_kalman_consistency():
     params = KalmanParams(meas_noise=(1e-12,) * 4, process_noise=(0.0,) * 7)
-    state = state_from_box((0.0, 50.0, 10.0, 20.0), params)
+    x, P = state_from_box((0.0, 50.0, 10.0, 20.0), params)
     error = None
     for frame in range(1, 11):
-        state = kalman_predict(state, params)
-        assert np.abs(state.P - state.P.T).max() < 1e-9
-        state = kalman_update(state, measure((2.0 * frame, 50.0, 10.0, 20.0)), params)
-        assert np.abs(state.P - state.P.T).max() < 1e-9
-        error = math.hypot(state.u - 2.0 * frame, state.v - 50.0)
+        x, P = kalman_predict(x, P, params)
+        assert np.abs(P - P.T).max() < 1e-9
+        x, P = kalman_update(x, P, measure((2.0 * frame, 50.0, 10.0, 20.0)), params)
+        assert np.abs(P - P.T).max() < 1e-9
+        error = math.hypot(x[0] - 2.0 * frame, x[1] - 50.0)
     assert error is not None and error < 1e-6
 
 

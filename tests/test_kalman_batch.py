@@ -17,7 +17,7 @@ from crowdrisk.geometry import BBox, iou, iou_matrix
 from crowdrisk.tracking import (
     DEFAULT_KALMAN,
     TRANSITION,
-    TrackState,
+    degenerate,
     kalman_predict,
     kalman_update,
     measurements_from_boxes,
@@ -46,7 +46,8 @@ def reference_update(x: np.ndarray, P: np.ndarray, box, params=DEFAULT_KALMAN):
     return x, (P + P.T) / 2.0
 
 
-def random_states(rng: np.random.Generator, n: int) -> TrackState:
+def random_states(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 7) means and (n, 7, 7) covariances."""
     x = np.empty((n, 7))
     x[:, :2] = rng.uniform(0, 1920, (n, 2))
     x[:, 2] = rng.uniform(200, 20000, n)
@@ -54,7 +55,7 @@ def random_states(rng: np.random.Generator, n: int) -> TrackState:
     x[:, 4:] = rng.normal(0, 2, (n, 3))
     A = rng.normal(size=(n, 7, 7))
     P = A @ np.swapaxes(A, -1, -2) + np.eye(7)  # symmetric positive definite
-    return TrackState(x=x, P=P)
+    return x, P
 
 
 def random_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -64,33 +65,47 @@ def random_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def test_batched_predict_rows_equal_single_calls():
-    batch = random_states(np.random.default_rng(1), N)
-    out = kalman_predict(batch)
+    x, P = random_states(np.random.default_rng(1), N)
+    out_x, out_P = kalman_predict(x, P)
     for i in range(N):
-        one = kalman_predict(TrackState(x=batch.x[i], P=batch.P[i]))
-        ref_x, ref_P = reference_predict(batch.x[i], batch.P[i])
-        assert np.array_equal(out.x[i], one.x) and np.array_equal(out.x[i], ref_x)
-        assert np.array_equal(out.P[i], one.P) and np.array_equal(out.P[i], ref_P)
+        one_x, one_P = kalman_predict(x[i], P[i])
+        ref_x, ref_P = reference_predict(x[i], P[i])
+        assert np.array_equal(out_x[i], one_x) and np.array_equal(out_x[i], ref_x)
+        assert np.array_equal(out_P[i], one_P) and np.array_equal(out_P[i], ref_P)
 
 
 def test_batched_update_rows_equal_single_calls():
     rng = np.random.default_rng(2)
-    batch = kalman_predict(random_states(rng, N))
+    x, P = kalman_predict(*random_states(rng, N))
     boxes = random_boxes(rng, N)
-    out = kalman_update(batch, measurements_from_boxes(boxes), DEFAULT_KALMAN)
+    out_x, out_P = kalman_update(x, P, measurements_from_boxes(boxes), DEFAULT_KALMAN)
     for i in range(N):
-        one = kalman_update(TrackState(x=batch.x[i], P=batch.P[i]),
-                            measurements_from_boxes(boxes[i:i + 1])[0])
-        ref_x, ref_P = reference_update(batch.x[i], batch.P[i], boxes[i].tolist())
-        assert np.array_equal(out.x[i], one.x) and np.array_equal(out.x[i], ref_x)
-        assert np.array_equal(out.P[i], one.P) and np.array_equal(out.P[i], ref_P)
+        one_x, one_P = kalman_update(x[i], P[i], measurements_from_boxes(boxes[i:i + 1])[0])
+        ref_x, ref_P = reference_update(x[i], P[i], boxes[i].tolist())
+        assert np.array_equal(out_x[i], one_x) and np.array_equal(out_x[i], ref_x)
+        assert np.array_equal(out_P[i], one_P) and np.array_equal(out_P[i], ref_P)
+
+
+def test_predict_and_update_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(5)
+    x, P = random_states(rng, 8)
+    z = measurements_from_boxes(random_boxes(rng, 8))
+    for args in ((x, P, z), (x[0], P[0], z[0])):  # a batch, then one state
+        kept = [a.copy() for a in args]
+        for a in args:
+            a.flags.writeable = False  # an in-place write raises
+        kalman_predict(*args[:2])
+        kalman_update(*args)
+        for arg, before in zip(args, kept):
+            assert np.array_equal(arg, before)
 
 
 def test_batched_degenerate_flags_rows():
-    batch = random_states(np.random.default_rng(3), 4)
-    batch.x[1, 2] = -1.0
-    batch.x[3, 3] = 0.0
-    assert batch.degenerate.tolist() == [False, True, False, True]
+    x, _ = random_states(np.random.default_rng(3), 4)
+    x[1, 2] = -1.0
+    x[3, 3] = 0.0
+    assert degenerate(x).tolist() == [False, True, False, True]
+    assert not degenerate(x[0]) and degenerate(x[1])
 
 
 def test_iou_matrix_cells_equal_scalar_iou():

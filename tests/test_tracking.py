@@ -25,8 +25,8 @@ from crowdrisk.tracking import (
     NumericalUpdateError,
     SequencingError,
     Tracker,
-    TrackState,
     associate,
+    degenerate,
     format_mot_line,
     kalman_predict,
     kalman_update,
@@ -44,80 +44,78 @@ def walker_box(frame: int, speed: float = 2.0, v: float = 50.0) -> tuple[float, 
 
 class TestKalmanPredict:
     def test_constant_velocity_propagation(self):
-        state = TrackState(x=np.array([0.0, 0.0, 4.0, 1.0, 1.0, 2.0, 0.0]), P=np.eye(7))
-        out = kalman_predict(state)
-        assert out.x[:4].tolist() == [1.0, 2.0, 4.0, 1.0]
-        assert out.x[4:].tolist() == [1.0, 2.0, 0.0]
+        x, _ = kalman_predict(np.array([0.0, 0.0, 4.0, 1.0, 1.0, 2.0, 0.0]), np.eye(7))
+        assert x[:4].tolist() == [1.0, 2.0, 4.0, 1.0]
+        assert x[4:].tolist() == [1.0, 2.0, 0.0]
 
     def test_zero_velocity_fixed_point(self):
-        state = state_from_box((5, 5, 2, 2))
-        out = kalman_predict(state)
-        assert np.array_equal(out.x, state.x)
-        assert np.all(np.diag(out.P) >= np.diag(state.P))  # covariance grows by Q
+        x, P = state_from_box((5, 5, 2, 2))
+        x_out, P_out = kalman_predict(x, P)
+        assert np.array_equal(x_out, x)
+        assert np.all(np.diag(P_out) >= np.diag(P))  # covariance grows by Q
 
     def test_degenerate_area_flagged(self):
-        state = TrackState(x=np.array([0.0, 0.0, 4.0, 1.0, 0.0, 0.0, -5.0]), P=np.eye(7))
-        out = kalman_predict(state)
-        assert out.s == -1.0
-        assert out.degenerate
+        x, _ = kalman_predict(np.array([0.0, 0.0, 4.0, 1.0, 0.0, 0.0, -5.0]), np.eye(7))
+        assert x[2] == -1.0
+        assert degenerate(x)
 
     def test_covariance_symmetry(self):
         rng = np.random.default_rng(2)
-        state = state_from_box((0, 0, 3, 7))
+        x, P = state_from_box((0, 0, 3, 7))
         for k in range(30):
-            state = kalman_predict(state)
-            assert np.abs(state.P - state.P.T).max() < 1e-9
+            x, P = kalman_predict(x, P)
+            assert np.abs(P - P.T).max() < 1e-9
             if k % 3 == 0:
-                state = kalman_update(state, measure((*rng.uniform(1, 9, 2), 3, 7)))
-                assert np.abs(state.P - state.P.T).max() < 1e-9
+                x, P = kalman_update(x, P, measure((*rng.uniform(1, 9, 2), 3, 7)))
+                assert np.abs(P - P.T).max() < 1e-9
 
 
 class TestKalmanUpdate:
     def test_measurement_equal_to_prediction_keeps_mean(self):
         box = (4, 6, 3, 5)
-        state = state_from_box(box)
-        out = kalman_update(state, measure(box))
-        assert np.allclose(out.x, state.x, atol=1e-12)
+        x, P = state_from_box(box)
+        x_out, _ = kalman_update(x, P, measure(box))
+        assert np.allclose(x_out, x, atol=1e-12)
 
     def test_huge_prior_variance_measurement_dominates(self):
         params = KalmanParams(init_state_var=1e9)
-        state = state_from_box((0, 0, 2, 2), params)
-        out = kalman_update(state, measure((10, 0, 2, 2)), params)
-        assert abs(out.u - 10.0) < 1e-6
+        x, P = state_from_box((0, 0, 2, 2), params)
+        x, _ = kalman_update(x, P, measure((10, 0, 2, 2)), params)
+        assert abs(x[0] - 10.0) < 1e-6
 
     def test_zero_noise_posterior_equals_measurement(self):
         params = KalmanParams(meas_noise=(0.0,) * 4)
-        state = state_from_box((0, 0, 4, 4), params)
+        x, P = state_from_box((0, 0, 4, 4), params)
         meas = measure((10, 3, 6, 2))
-        out = kalman_update(state, meas, params)
-        assert np.allclose(out.x[:4], [10, 3, 12, 3], atol=1e-12)
+        x, _ = kalman_update(x, P, meas, params)
+        assert np.allclose(x[:4], [10, 3, 12, 3], atol=1e-12)
 
     def test_velocity_estimate_converges_on_walker(self):
-        state = state_from_box(walker_box(0))
+        x, P = state_from_box(walker_box(0))
         for frame in range(1, 11):
-            state = kalman_predict(state)
-            state = kalman_update(state, measure(walker_box(frame)))
-        assert abs(state.du - 2.0) < 0.1
+            x, P = kalman_predict(x, P)
+            x, P = kalman_update(x, P, measure(walker_box(frame)))
+        assert abs(x[4] - 2.0) < 0.1
 
     def test_noiseless_consistency(self):
-        state = state_from_box(walker_box(0), NOISELESS)
+        x, P = state_from_box(walker_box(0), NOISELESS)
         errors = []
         for frame in range(1, 11):
-            state = kalman_predict(state, NOISELESS)
-            state = kalman_update(state, measure(walker_box(frame)), NOISELESS)
-            errors.append(abs(state.u - 2.0 * frame))
-            assert np.abs(state.P - state.P.T).max() < 1e-9
+            x, P = kalman_predict(x, P, NOISELESS)
+            x, P = kalman_update(x, P, measure(walker_box(frame)), NOISELESS)
+            errors.append(abs(x[0] - 2.0 * frame))
+            assert np.abs(P - P.T).max() < 1e-9
         assert errors[9] < 1e-6
         for prev, cur in zip(errors[3:], errors[4:]):
             assert cur <= prev + 1e-12  # monotone once the state is observed
 
     def test_singular_innovation_raises(self):
         params = KalmanParams(meas_noise=(0.0,) * 4, process_noise=(0.0,) * 7)
-        state = state_from_box(walker_box(0), params)
+        x, P = state_from_box(walker_box(0), params)
         with pytest.raises(NumericalUpdateError):
             for frame in range(1, 6):
-                state = kalman_predict(state, params)
-                state = kalman_update(state, measure(walker_box(frame)), params)
+                x, P = kalman_predict(x, P, params)
+                x, P = kalman_update(x, P, measure(walker_box(frame)), params)
 
 
 class TestAssociate:
@@ -323,12 +321,12 @@ class TestTrackerLifecycle:
         box = box_rows((50, 50, 10, 20), conf=0.8)
         tracker.step(box, 1)
         t = tracker.tracks
-        assert (t.id.tolist(), t.hits.tolist(), t.age.tolist()) == ([1], [1], [0])
+        assert (t.id.tolist(), t.hits.tolist()) == ([1], [1])
         assert t.confirmed.tolist() == [False]
         tracker.step(box, 2)
         tracker.step([], 3)
         t = tracker.tracks
-        assert (t.hits.tolist(), t.age.tolist(), t.time_since_update.tolist()) == ([2], [2], [1])
+        assert (t.hits.tolist(), t.time_since_update.tolist()) == ([2], [1])
         assert t.confirmed.tolist() == [True]
         assert t.conf.tolist() == [0.8]
         assert t.x.shape == (1, 7) and t.P.shape == (1, 7, 7)
