@@ -189,17 +189,19 @@ def run_pipeline(
         dropped = (2 * tracking_grid.dropped + violation_grid.layer_r.dropped
                    + violation_grid.layer_y.dropped + crowd.grid.dropped)
         _write_stats(os.path.join(out, "stats.csv"), stats_rows)
+        # each grid with the cells its stamps reached: no pass over a whole grid
         tables = {
-            "tracking_grid": tracking_grid.values,
-            "violation_grid": violation_grid.combined(tracking_grid.values),
+            "tracking_grid": (tracking_grid.values, tracking_grid.reached()),
+            "violation_grid": violation_grid.combined(tracking_grid),
         }
         if config.crowd_map_enabled:
             advance_to(crowd, long_term, ingest.last_frame)
-            tables["crowd_grid"] = crowd.values
-            tables["longterm_crowd"] = long_term.values
+            stamped = crowd.grid.reached()  # the average is +0.0 where the crowd was never stamped
+            tables["crowd_grid"] = (crowd.values, stamped)
+            tables["longterm_crowd"] = (long_term.values, stamped)
         _write_rasters(out, tables)
-        for name, values in tables.items():
-            rasters.write_value_table(os.path.join(out, f"{name}.txt"), values)
+        for name, (values, cells) in tables.items():
+            rasters.write_value_table(os.path.join(out, f"{name}.txt"), values, cells)
 
     summary = PipelineSummary(
         frames_processed=frames_processed,
@@ -234,14 +236,19 @@ def _write_stats(path: str, rows: list[str | range]) -> None:
                 fh.write(row)
 
 
-def _write_rasters(out: str, tables: dict[str, np.ndarray]) -> list[str]:
-    """Write `<name>.pgm` per grid, then the tracking and violation heatmap; return the paths."""
+def _write_rasters(out: str, tables: dict[str, tuple[np.ndarray, np.ndarray]]) -> list[str]:
+    """Write `<name>.pgm` per grid, then the tracking and violation heatmap; return the paths.
+
+    tables maps each name to its grid and candidate cells.  The violation
+    grid's cells hold the tracking grid's, so they serve the heatmap.
+    """
     written = []
-    for name, values in tables.items():
+    for name, (values, cells) in tables.items():
         written.append(os.path.join(out, f"{name}.pgm"))
-        rasters.write_pgm16(written[-1], values)
+        rasters.write_pgm16(written[-1], values, cells)
     written.append(os.path.join(out, "heatmap.ppm"))
-    rasters.write_heatmap_ppm(written[-1], tables["tracking_grid"], tables["violation_grid"])
+    S, cells = tables["violation_grid"]
+    rasters.write_heatmap_ppm(written[-1], tables["tracking_grid"][0], S, cells)
     return written
 
 
@@ -249,9 +256,11 @@ def render_from_tables(tables_dir: str, out_dir: str) -> list[str]:
     """Re-render rasters from previously written value tables.
 
     Needs tracking_grid.txt and violation_grid.txt; crowd tables are
-    re-rendered when present.  Every table is read and checked before the
-    first raster is written, so a bad table leaves no partial raster set.
-    Returns the written raster paths.
+    re-rendered when present.  Every table is read and checked, all of one
+    shape, before the first raster is written, so a bad table leaves no
+    partial raster set.  One scan of the tables (`rasters.live_cells`)
+    gives the candidate cells of every raster.  Returns the written raster
+    paths.
     """
     names = ("tracking_grid", "violation_grid", "crowd_grid", "longterm_crowd")
     paths = {name: os.path.join(tables_dir, f"{name}.txt") for name in names}
@@ -263,10 +272,12 @@ def render_from_tables(tables_dir: str, out_dir: str) -> list[str]:
         for name, path in paths.items()
         if os.path.exists(path)
     }
-    G, S = tables["tracking_grid"], tables["violation_grid"]
-    if G.shape != S.shape:
-        raise ValueError(
-            f"{paths['violation_grid']}: shape {S.shape} differs from tracking_grid.txt {G.shape}"
-        )
+    shape = tables["tracking_grid"].shape
+    for name, values in tables.items():
+        if values.shape != shape:
+            raise ValueError(
+                f"{paths[name]}: shape {values.shape} differs from tracking_grid.txt {shape}"
+            )
+    cells = rasters.live_cells(*tables.values())
     os.makedirs(out_dir, exist_ok=True)
-    return _write_rasters(out_dir, tables)
+    return _write_rasters(out_dir, {name: (values, cells) for name, values in tables.items()})

@@ -7,50 +7,63 @@ can re-plot the raw grids: one line per grid row, each cell as its own
 `.17g` text (round-trip exact, signed zero included).
 
 The risk grids are mostly +0.0, with a few live cells in a few live rows,
-so every writer costs what the live cells cost.  `_live_cells` finds them.
-A raster maps only them, and one 0.0 standing for every other cell, through
-its normalization and colour conversion; its rows go out in blocks copied
-from one cached block of background rows, with the live cells' samples put
-in.  A table formats only the live cells: an all-zero row is one cached
-`0 0 ... 0` line, and a live row splices its cell texts into that line.  No
-writer builds an array or a text the size of the grid.  Reading a table
-skips the lines equal to the all-zero line.  When the other lines are
-mostly `0` cells, numpy locates their non-zero cells on a byte view and
-only those are parsed, so reading costs what the non-zero cells cost;
-tables with many non-zero cells are parsed by `np.loadtxt`.
+so every writer costs what the live cells cost.  Each writer takes its
+candidate cells: sorted flat indices that hold every cell not +0.0, such
+as the record a grid keeps of the cells its stamps reached
+(`risk.RiskGrid.reached`), or what `live_cells` finds by scanning whole
+grids.  It gathers the candidates once and keeps those whose bits are not
++0.0.  A raster maps only them, and one 0.0 standing for every other cell,
+through its normalization and colour conversion; its rows go out in blocks
+copied from one cached block of background rows, with the live cells'
+samples put in.  A table formats only the live cells: an all-zero row is
+one cached `0 0 ... 0` line, and a live row splices its cell texts into
+that line.  No writer builds an array or a text the size of the grid.
+Reading a table finds the lines equal to the all-zero line in the file's
+bytes and decodes only the others.  When those are mostly `0` cells,
+numpy locates their non-zero cells on a byte view and only those are
+parsed, so reading costs what the non-zero cells cost; tables with many
+non-zero cells are parsed by `np.loadtxt`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .risk import _HEAP_CELLS, normalize, row_runs
+from .risk import _HEAP_CELLS, _distinct_cells, normalize, row_runs
 
 
-def _live_cells(*grids: np.ndarray) -> np.ndarray:
-    """The row-major flat indices of the cells where some grid is not +0.0.
+def live_cells(*grids: np.ndarray) -> np.ndarray:
+    """The sorted flat indices of the cells where some grid is not +0.0, found by a scan.
 
-    The grids are float64 and of one 2-D shape; an index divided by the
-    width gives the cell's row and, as remainder, its column within that
-    row.  +0.0 is the only value whose bits are all zero, so -0.0 and NaN
-    cells are live.  Only the runs of rows that hold a live cell are searched
-    for their columns.
+    The grids are of one 2-D shape; an index divided by the width gives the
+    cell's row and, as remainder, its column within that row.  +0.0 is the
+    only float64 value whose bits are all zero, so -0.0 and NaN cells are
+    live.  Every row of every grid is read once; only the runs of rows that
+    hold a live cell are searched for their columns.
     """
     width = grids[0].shape[1]
-    found = [np.zeros(0, dtype=np.intp)]
+    found = []
     for grid in grids:
-        bits = np.ascontiguousarray(grid).view(np.uint64)
+        bits = np.ascontiguousarray(grid, dtype=np.float64).view(np.uint64)
         found += [np.flatnonzero(bits[start:stop]) + start * width
                   for start, stop in row_runs(bits.any(axis=1))]
-    # sorted, and a cell live in two grids once (np.union1d would do, but its
-    # first call on integers imports numpy.ma, ~20 ms in every process)
-    live = np.sort(np.concatenate(found))
-    return live[np.diff(live, prepend=-1) != 0]
+    return _distinct_cells(*found)
 
 
-def _gather(values: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The live cells in row-major order, then one 0.0 for all the other cells, if any."""
-    return np.concatenate([values.take(live), np.zeros(min(values.size - len(live), 1))])
+def _live(cells: np.ndarray, *grids: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The candidate cells where some grid is not +0.0, and each grid's values there.
+
+    cells are sorted, distinct flat indices into the float64 grids, which
+    are of one shape; every cell outside them must be +0.0 in every grid.
+    """
+    taken = [grid.take(cells) for grid in grids]
+    keep = np.logical_or.reduce([values.view(np.uint64) != 0 for values in taken])
+    return cells[keep], [values[keep] for values in taken]
+
+
+def _and_background(live_values: np.ndarray, size: int) -> np.ndarray:
+    """The live cells' values, then one 0.0 for all the other cells of the grid, if any."""
+    return np.concatenate([live_values, np.zeros(min(size - len(live_values), 1))])
 
 
 # Background rows go out in writes of at most this many bytes, those of a
@@ -66,7 +79,7 @@ def _write_raster(path: str, magic: str, maxval: int, shape: tuple[int, int],
                   live: np.ndarray, samples: np.ndarray) -> None:
     """Write a binary PGM/PPM from the samples of the `live` cells, one per cell.
 
-    Every other cell gets the last sample, the one `_gather` appended for
+    Every other cell gets the last sample, the one `_and_background` appended for
     them (when every cell is live, it is overwritten everywhere).  The rows
     go out a block at a time: a block without live cells is a slice of one
     cached block of background rows, a block with live cells is a copy of
@@ -91,16 +104,17 @@ def _write_raster(path: str, magic: str, maxval: int, shape: tuple[int, int],
             fh.write(out)
 
 
-def write_pgm16(path: str, values: np.ndarray) -> None:
+def write_pgm16(path: str, values: np.ndarray, cells: np.ndarray) -> None:
     """Write a grid as a 16-bit grayscale raster, normalized to full range.
 
-    A constant grid (including all-zero) writes all-zero samples.
+    cells are the candidate cells (see the module docstring).  A constant
+    grid (including all-zero) writes all-zero samples.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"raster input must be 2-D, got shape {values.shape}")
-    live = _live_cells(values)
-    scaled = normalize(_gather(values, live), 0.0, 65535.0)
+    live, (live_values,) = _live(cells, values)
+    scaled = normalize(_and_background(live_values, values.size), 0.0, 65535.0)
     samples = np.rint(scaled, out=scaled).astype(">u2")
     _write_raster(path, "P5", 65535, values.shape, live, samples)
 
@@ -137,9 +151,10 @@ def hue_to_rgb(hue_deg: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return rgb.reshape(hue.shape + (3,))
 
 
-def write_heatmap_ppm(path: str, G: np.ndarray, S: np.ndarray) -> None:
+def write_heatmap_ppm(path: str, G: np.ndarray, S: np.ndarray, cells: np.ndarray) -> None:
     """Write the risk heatmap of tracking grid G and combined violation grid S.
 
+    cells are the candidate cells of both grids (see the module docstring).
     The risk field max(G, 2*S) is normalized into [0, 120] and its
     complement is the hue on a halved scale: 120 (blue) at zero risk, 0
     (red) at the peak.
@@ -150,8 +165,9 @@ def write_heatmap_ppm(path: str, G: np.ndarray, S: np.ndarray) -> None:
         raise ValueError(f"grid shapes differ: {G.shape} vs {S.shape}")
     if G.ndim != 2:
         raise ValueError(f"raster input must be 2-D, got shape {G.shape}")
-    live = _live_cells(G, S)
-    risk = normalize(np.maximum(_gather(G, live), 2.0 * _gather(S, live)), 0.0, 120.0)
+    live, (g_live, s_live) = _live(cells, G, S)
+    risk = normalize(np.maximum(_and_background(g_live, G.size),
+                                2.0 * _and_background(s_live, G.size)), 0.0, 120.0)
     hue = np.subtract(120.0, risk, out=risk)
     _write_raster(path, "P6", 255, G.shape, live, hue_to_rgb(hue, scale=2.0))
 
@@ -169,13 +185,14 @@ def _write_zero_rows(fh, block: memoryview, width: int, n: int) -> None:
     fh.write(block[:(n % per_block) * width])
 
 
-def write_value_table(path: str, values: np.ndarray) -> None:
+def write_value_table(path: str, values: np.ndarray, cells: np.ndarray) -> None:
     """Dump a matrix as text rows, header `# rows cols`, round-trip exact.
 
-    Every cell is written as its own `.17g` text, `-0` included.  Only the
-    cells that are not +0.0 are formatted: an all-zero row is one cached
-    string, and a live row splices its cell texts between slices of that
-    string, so the cost follows the non-zero cells, not the grid.
+    cells are the candidate cells (see the module docstring).  Every cell is
+    written as its own `.17g` text, `-0` included.  Only the cells that are
+    not +0.0 are formatted: an all-zero row is one cached string, and a live
+    row splices its cell texts between slices of that string, so the cost
+    follows the non-zero cells, not the grid.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -183,8 +200,8 @@ def write_value_table(path: str, values: np.ndarray) -> None:
     rows, cols = values.shape
     zero_row = _zero_row(cols).encode("ascii")
     zero_block = memoryview(zero_row * max(1, _BLOCK_BYTES // len(zero_row)))
-    live = _live_cells(values)
-    uniq, inverse = np.unique(values.take(live), return_inverse=True)
+    live, (live_values,) = _live(cells, values)
+    uniq, inverse = np.unique(live_values, return_inverse=True)
     texts = [f"{x:.17g}".encode("ascii") for x in uniq.tolist()]
     row_of, col_of = np.divmod(live, max(cols, 1))  # no live cell without columns
     # live cells first[i]:first[i + 1] are those of the i-th live row
@@ -207,11 +224,12 @@ def write_value_table(path: str, values: np.ndarray) -> None:
         _write_zero_rows(fh, zero_block, len(zero_row), rows - next_row)
 
 
-def _bad_table(path: str, lines: list[str], candidates, cols: int) -> ValueError:
+def _bad_table(path: str, lines, candidates, cols: int) -> ValueError:
     """The error for data lines that do not hold `cols` numbers each.
 
     Names the file and the 1-based line number of the first bad line among
-    `candidates` (indices into `lines`, which start at file line 2).
+    `candidates`, the indices of data lines in `lines` (a list or dict of
+    their texts); data line i is file line i + 2.
     """
     for i in candidates:
         tokens = lines[i].split()
@@ -235,7 +253,7 @@ _LONGEST_CELL = 24
 _SCAN_SHARE = 16
 
 
-def _scan_cells(lines: list[str], live: list[int], cols: int):
+def _scan_cells(lines, live: list[int], cols: int):
     """Locate and parse the cells of lines[i], i in `live`, that are not `0`.
 
     It works on lines in the writer's form: `cols` tokens separated by
@@ -301,7 +319,7 @@ def _scan_cells(lines: list[str], live: list[int], cols: int):
     return line, col, values
 
 
-def _parse_lines(path: str, lines: list[str], live: list[int], cols: int) -> np.ndarray:
+def _parse_lines(path: str, lines, live: list[int], cols: int) -> np.ndarray:
     """The values of lines[i] for i in `live`, one row each, parsed by `np.loadtxt`."""
     try:
         parsed = np.loadtxt([lines[i] for i in live], dtype=float, comments=None, ndmin=2)
@@ -312,39 +330,59 @@ def _parse_lines(path: str, lines: list[str], live: list[int], cols: int) -> np.
     return parsed
 
 
+def _decode(data: bytes, starts: list[int], ends: list[int], which) -> dict[int, str]:
+    """{i: the text of data line i} for each i in `which`; line i spans data[starts[i]:ends[i]]."""
+    return {i: data[starts[i]:ends[i]].decode("ascii") for i in which}
+
+
 def read_value_table(path: str) -> np.ndarray:
     """Read a table written by `write_value_table`.
 
-    Lines equal to the all-zero row stay zeros.  When the other lines hold
-    few bytes beyond two a cell, they are mostly `0` cells: they are scanned
-    (`_scan_cells`) and only their non-zero cells are parsed, so reading
-    costs what the non-zero cells cost.  Other tables, and lines that are not
-    in the writer's form, are parsed by one `np.loadtxt`.  A malformed table
+    The file is read as bytes.  The lines equal to the all-zero row are
+    found there and stay zeros; only the other lines are decoded.  When
+    those hold few bytes beyond two a cell, they are mostly `0` cells: they
+    are scanned (`_scan_cells`) and only their non-zero cells are parsed, so
+    reading costs what the non-zero cells cost.  Other tables, and lines that
+    are not in the writer's form, are parsed by one `np.loadtxt`.  As in text
+    mode, a CR LF pair or a lone CR ends a line too.  A malformed table
     raises ValueError naming the file and line.
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not an ASCII value table ({exc.reason})") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        raise ValueError(f"{path}: not an ASCII value table")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # the end of each line, its newline included, found by bytes.find: a
+    # numpy compare would build a fresh array of one byte per file byte
+    ends = []
+    end = data.find(b"\n") + 1
+    while end:
+        ends.append(end)
+        end = data.find(b"\n", end) + 1
+    if len(data) > (ends[-1] if ends else 0):
+        ends.append(len(data))  # a last line without a newline
+    header = data[:ends[0] if ends else 0].decode("ascii").split()
     if len(header) != 3 or header[0] != "#" or not all(h.isdigit() for h in header[1:]):
         raise ValueError(f"{path}:1: missing `# rows cols` header")
     rows, cols = int(header[1]), int(header[2])
-    if len(lines) != rows:
+    starts, ends = ends[:-1], ends[1:]  # the data lines: data line i is file line i + 2
+    if len(starts) != rows:
         raise ValueError(
-            f"{path}:{min(len(lines), rows) + 2}: header says {rows} rows, file has {len(lines)}"
+            f"{path}:{min(len(starts), rows) + 2}: header says {rows} rows, file has {len(starts)}"
         )
     if not rows:
         return np.zeros((0, cols))
     # a line shorter than this cannot hold `cols` values; checked before
     # `cols` sizes the zero row, so the header cannot ask for a huge one
-    if max(map(len, lines)) < 2 * cols - 1:
-        raise _bad_table(path, lines, range(rows), cols)
-    zero_row = _zero_row(cols)
-    live = [i for i, line in enumerate(lines) if line != zero_row]
+    if max(b - a for a, b in zip(starts, ends)) < 2 * cols - 1:
+        raise _bad_table(path, _decode(data, starts, ends, range(rows)), range(rows), cols)
+    zero_row = _zero_row(cols).encode("ascii")
+    live = [i for i, (a, b) in enumerate(zip(starts, ends))
+            if b - a != len(zero_row) or not data.startswith(zero_row, a)]
     if not live:
         return np.zeros((rows, cols))
+    lines = _decode(data, starts, ends, live)
     found = _scan_cells(lines, live, cols)
     parsed = _parse_lines(path, lines, live, cols) if found is None else None
     # allocated only now: each line is known to hold `cols` values

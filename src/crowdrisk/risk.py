@@ -12,8 +12,15 @@ on every frame, but each cell is brought up to date only in the frames
 that stamp it, and once more by `advance_to` before the grids are read: k
 frames of both recurrences have a closed form (`decay_sum`).  So a frame's
 crowd work follows its people, and a frame with nobody in it touches no
-cell.  The combined violation grid is summed only on the rows where one of
-its layers is not +0.0: every other row of the sum is +0.0 as well.
+cell.
+
+Each grid keeps a record of the cells its stamps have reached: a stamp
+records the cells that were +0.0 before it (on the crowd grid, the cells
+whose clock was 0), and every cell outside the record is +0.0.  The end of
+a run visits only those cells: `advance_to` brings the crowd grid's
+recorded cells up to date, `ViolationGrid.combined` sums only on the union
+of the records of its layers and presence, and the writers in `rasters`
+take the records as their candidate cells.
 """
 
 from __future__ import annotations
@@ -61,7 +68,8 @@ class RiskGrid:
     """Non-negative accumulator over width x height cells.
 
     cell_scale is BEV pixels per cell; stamps outside the grid are dropped
-    (never clamped to the border) and counted in `dropped`.
+    (never clamped to the border) and counted in `dropped`.  `reached()`
+    gives the cells stamps have reached; every other cell is +0.0.
     """
 
     width: int
@@ -69,6 +77,8 @@ class RiskGrid:
     cell_scale: float = RiskConfig.cell_scale
     values: np.ndarray = field(init=False, repr=False)
     dropped: int = 0
+    # flat cells recorded by the stamps, in parts; see _record
+    _parts: list[np.ndarray] = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -76,6 +86,25 @@ class RiskGrid:
         if self.cell_scale <= 0:
             raise ValueError(f"cell_scale must be positive, got {self.cell_scale}")
         self.values = grid_zeros(self.height, self.width)
+
+    def _record(self, cells: np.ndarray) -> None:
+        """Add the flat cells a stamp reached for the first time to the record.
+
+        Stamps add positive weights, so a cell is +0.0 only before its first
+        stamp (on the crowd grid, which decays, its clock is 0 only then):
+        each cell enters the record in one stamp call, and the record grows
+        with the cells reached, not with the stream.  Past _RECORD_PARTS
+        parts they are joined into one, so a long stream keeps few parts.
+        """
+        if len(cells):
+            self._parts.append(cells)
+            if len(self._parts) > _RECORD_PARTS:
+                self._parts = [np.concatenate(self._parts)]
+
+    def reached(self) -> np.ndarray:
+        """The sorted, distinct flat indices (row * width + col) of the cells stamps reached."""
+        self._parts = [_distinct_cells(*self._parts)]
+        return self._parts[0]
 
 
 def stamp_kernel(grid: RiskGrid, center: tuple[int, int]) -> RiskGrid:
@@ -91,16 +120,28 @@ def stamp_kernel(grid: RiskGrid, center: tuple[int, int]) -> RiskGrid:
     for dr, dc, w in _KERNEL:
         r, c = row + dr, col + dc
         if 0 <= r < grid.height and 0 <= c < grid.width:
+            if v[r, c] == 0.0:
+                grid._record(np.array([r * grid.width + c]))
             v[r, c] += w
     return grid
 
 
 _NO_CELLS = np.zeros(0, dtype=np.intp)
 _NO_VALUES = np.zeros(0)
+# A grid's record is joined into one part when it holds more parts than this.
+_RECORD_PARTS = 64
 
 
-def _kernel_cells(grid: RiskGrid, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (rows, cols, weights) the kernel adds at the cell of each (n, 2) BEV point.
+def _distinct_cells(*parts: np.ndarray) -> np.ndarray:
+    """The distinct flat cell indices in parts, sorted."""
+    # np.union1d would do, but its first call on integers imports numpy.ma,
+    # ~20 ms in every process
+    cells = np.sort(np.concatenate([_NO_CELLS, *parts]))
+    return cells[np.diff(cells, prepend=-1) != 0]
+
+
+def _kernel_cells(grid: RiskGrid, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cells (row * width + col) and weights the kernel adds at the cell of each (n, 2) BEV point.
 
     A point's cell is (floor(xw / cell_scale), floor(yw / cell_scale)); off-grid
     points count on grid.dropped.  The cells come point by point and then
@@ -108,7 +149,7 @@ def _kernel_cells(grid: RiskGrid, xy: np.ndarray) -> tuple[np.ndarray, np.ndarra
     of points returns before any numpy call.
     """
     if not len(xy):
-        return _NO_CELLS, _NO_CELLS, _NO_VALUES
+        return _NO_CELLS, _NO_VALUES
     col = np.floor(xy[:, 0] / grid.cell_scale)
     row = np.floor(xy[:, 1] / grid.cell_scale)
     inside = (col >= 0) & (col < grid.width) & (row >= 0) & (row < grid.height)
@@ -116,17 +157,19 @@ def _kernel_cells(grid: RiskGrid, xy: np.ndarray) -> tuple[np.ndarray, np.ndarra
     rows = row[inside].astype(np.intp)[:, None] + _KERNEL_DR
     cols = col[inside].astype(np.intp)[:, None] + _KERNEL_DC
     ok = (rows >= 0) & (rows < grid.height) & (cols >= 0) & (cols < grid.width)
-    return rows[ok], cols[ok], np.broadcast_to(_KERNEL_W, ok.shape)[ok]
+    return (rows * grid.width + cols)[ok], np.broadcast_to(_KERNEL_W, ok.shape)[ok]
 
 
 def _stamp_positions(grid: RiskGrid, xy: np.ndarray) -> None:
-    """Stamp the kernel at the cell of each (n, 2) BEV point.
+    """Stamp the kernel at the cell of each (n, 2) BEV point, recording the cells it reaches first.
 
     `np.add.at` adds unbuffered in index order, as stamp_kernel would.
     """
-    rows, cols, weights = _kernel_cells(grid, xy)
-    if len(weights):
-        np.add.at(grid.values, (rows, cols), weights)
+    cells, weights = _kernel_cells(grid, xy)
+    if len(cells):
+        flat = grid.values.reshape(-1)
+        grid._record(cells[flat[cells] == 0.0])
+        np.add.at(flat, cells, weights)
 
 
 def accumulate_tracking(grid: RiskGrid, pos: FramePositions) -> RiskGrid:
@@ -166,24 +209,22 @@ class ViolationGrid:
         self.layer_r = RiskGrid(self.width, self.height, self.cell_scale)
         self.layer_y = RiskGrid(self.width, self.height, self.cell_scale)
 
-    def combined(self, presence: np.ndarray) -> np.ndarray:
-        """alpha*R + beta*presence + delta*Y, summed only on blocks of rows where a layer is live.
+    def combined(self, presence: RiskGrid) -> tuple[np.ndarray, np.ndarray]:
+        """alpha*R + beta*presence + delta*Y, and the cells of the three layers' records.
 
-        A live row holds a cell that is not +0.0.  Every other row is +0.0 in
-        all three layers, and so in the sum, since the coefficients are
-        finite and non-negative.
+        The sum is taken only on those cells (sorted flat indices), in blocks
+        of at most _HEAP_CELLS cells.  Every other cell is +0.0 in all three
+        layers, and so in the sum, since the coefficients are finite and
+        non-negative.
         """
-        r, y = self.layer_r.values, self.layer_y.values
+        cells = _distinct_cells(self.layer_r.reached(), presence.reached(), self.layer_y.reached())
+        r, p, y = (grid.values.reshape(-1) for grid in (self.layer_r, presence, self.layer_y))
         out = grid_zeros(self.height, self.width)
-        live = np.zeros(self.height, dtype=bool)
-        for layer in (r, presence, y):
-            live |= np.ascontiguousarray(layer).view(np.uint64).any(axis=1)
-        step = max(1, _HEAP_CELLS // self.width)
-        for start in range(0, self.height, step):
-            rows = slice(start, start + step)
-            if live[rows].any():
-                out[rows] = self.alpha * r[rows] + self.beta * presence[rows] + self.delta * y[rows]
-        return out
+        flat = out.reshape(-1)
+        for start in range(0, len(cells), _HEAP_CELLS):
+            block = cells[start:start + _HEAP_CELLS]
+            flat[block] = self.alpha * r[block] + self.beta * p[block] + self.delta * y[block]
+        return out, cells
 
 
 def accumulate_violations(
@@ -250,11 +291,11 @@ def crowd_step(cg: CrowdGrid, pos: FramePositions) -> CrowdGrid:
     stamp before the stamps add, in the order stamp_kernel would add them.
     """
     now = cg._tick(pos.frame, step=True)
-    rows, cols, weights = _kernel_cells(cg.grid, pos.xy)
-    cells = rows * cg.width + cols
+    cells, weights = _kernel_cells(cg.grid, pos.xy)
     crowd = cg.values.reshape(-1)
     before = crowd[cells]
     gaps = now - cg._clock[cells]
+    cg.grid._record(cells[gaps == now])  # their clocks were 0: never stamped
     crowd[cells] = before * cg.decay_gamma ** gaps
     np.add.at(crowd, cells, weights)
     cg._clock[cells] = now
@@ -325,24 +366,25 @@ def advance_to(cg: CrowdGrid, long_term: LongTermCrowd, frame: int) -> None:
     """Bring every cell of cg, and of the average that updates from it, up to frame.
 
     A cell k frames behind takes C <- g**k * C and the average's update
-    with no stamp.  Only the cells some step has stamped (their clocks are
-    above 0) are brought up to date, in blocks of at most _HEAP_CELLS cells.
+    with no stamp.  Only the cells in the grid's record (every cell a step
+    has stamped) are visited, in blocks of at most _HEAP_CELLS cells.  The
+    record is read as it was kept, unsorted: a cell met again is up to date
+    and left alone.
     """
     if cg._origin is None:
         return  # nothing was ever stamped
     now = cg._tick(frame, step=False)
     crowd, clock = cg.values.reshape(-1), cg._clock
-    for start in range(0, clock.size, _HEAP_CELLS):
-        block = clock[start:start + _HEAP_CELLS]
-        if not block.any():
-            continue
-        behind = np.flatnonzero((block > 0) & (block < now))
-        gaps = now - block[behind]
-        cells = start + behind
-        before = crowd[cells]
-        crowd[cells] = after = before * cg.decay_gamma ** gaps
-        long_term._catch_up(cells, gaps, before, after, cg.decay_gamma)
-        block[behind] = now
+    for part in cg.grid._parts:
+        for start in range(0, len(part), _HEAP_CELLS):
+            cells = part[start:start + _HEAP_CELLS]
+            gaps = now - clock[cells]
+            behind = gaps > 0
+            cells, gaps = cells[behind], gaps[behind]
+            before = crowd[cells]
+            crowd[cells] = after = before * cg.decay_gamma ** gaps
+            long_term._catch_up(cells, gaps, before, after, cg.decay_gamma)
+            clock[cells] = now
 
 
 def normalize(X: np.ndarray, l: float, u: float) -> np.ndarray:

@@ -9,11 +9,11 @@ import pytest
 
 import numpy as np
 
-from crowdrisk import pipeline
+from crowdrisk import pipeline, rasters
 from crowdrisk.config import load_config
 from crowdrisk.detections import parse_jsonl_detections, parse_mot_detections
 from crowdrisk.pipeline import STATS_HEADER, PipelineError, run_pipeline
-from crowdrisk.rasters import read_value_table, write_value_table
+from crowdrisk.rasters import live_cells, read_value_table, write_value_table
 from crowdrisk.risk import LongTermCrowd
 from crowdrisk.tracking import Tracker
 
@@ -313,7 +313,7 @@ class TestRenderFromTables:
         grid = np.zeros((4, 5))
         grid[1, 2] = 1.0
         for name in self.GRIDS:
-            write_value_table(str(tables / f"{name}.txt"), grid)
+            write_value_table(str(tables / f"{name}.txt"), grid, live_cells(grid))
         return tables
 
     def test_malformed_crowd_table_writes_no_raster(self, tmp_path):
@@ -326,9 +326,18 @@ class TestRenderFromTables:
 
     def test_mismatched_shapes_write_no_raster(self, tmp_path):
         tables = self._tables(tmp_path)
-        write_value_table(str(tables / "violation_grid.txt"), np.zeros((5, 4)))
+        write_value_table(str(tables / "violation_grid.txt"), np.zeros((5, 4)), np.arange(0))
         out = tmp_path / "re"
         with pytest.raises(ValueError, match="violation_grid"):
+            pipeline.render_from_tables(str(tables), str(out))
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_mismatched_crowd_table_writes_no_raster(self, tmp_path):
+        # one scan gives the cells of every raster, so every table has one shape
+        tables = self._tables(tmp_path)
+        write_value_table(str(tables / "longterm_crowd.txt"), np.zeros((4, 6)), np.arange(0))
+        out = tmp_path / "re"
+        with pytest.raises(ValueError, match=r"longterm_crowd\.txt: shape \(4, 6\)"):
             pipeline.render_from_tables(str(tables), str(out))
         assert not out.exists() or os.listdir(out) == []
 
@@ -338,3 +347,87 @@ class TestRenderFromTables:
         assert sorted(os.path.basename(p) for p in written) == sorted(
             ["heatmap.ppm"] + [f"{name}.pgm" for name in self.GRIDS]
         )
+
+
+def _reached_cells_run(crowd: bool, tmp_path, monkeypatch):
+    """Run a scene on a 40x40 grid; return its summary and {table: (values, cells)}.
+
+    A couple (yellow), a close pair (red), a person on the border row
+    (clipped kernel) and one off the grid (dropped), then 2,000 frames with
+    nobody, at decay_gamma 0.5 (the crowd cells decay to +0.0), then two
+    people again.
+    """
+    cfg = tmp_path / "record.cfg"
+    cfg.write_text(
+        "[homography]\nmatrix = 1 0 0 0 1 0 0 0 1\n"
+        "[policy]\nxi_px_per_m = 10.0\nr_px = 20\nfps = 25.0\ncouple_eps_s = 0.2\n"
+        "[tracker]\nmin_hits = 1\n"
+        "[risk]\ngrid_width = 40\ngrid_height = 40\ncell_scale = 8\ndecay_gamma = 0.5\n"
+        f"crowd_map_enabled = {crowd}\n"
+    )
+    config = load_config(str(cfg), env={})
+    feet = {range(1, 31): [(100, 100), (100, 108), (200, 200), (215, 200), (2, 317), (400, 100)],
+            range(2031, 2041): [(2, 317), (160, 160)]}
+    lines = [f"{f},-1,{fx - 15},{fy - 80},30,80,0.9,-1,-1,-1"
+             for frames, people in feet.items() for f in frames for fx, fy in people]
+    tables = {}
+
+    def capture(path, values, cells):
+        tables[os.path.basename(path)] = (values.copy(), cells.copy())
+        return write_value_table(path, values, cells)
+
+    monkeypatch.setattr(rasters, "write_value_table", capture)
+    summary = run_pipeline(config, parse_mot_detections(lines), out_dir=str(tmp_path / "out"))
+    return summary, tables
+
+
+class TestReachedCells:
+    """The end of a run reads each grid only on the cells its stamps reached."""
+
+    @pytest.mark.parametrize("crowd", [True, False])
+    def test_cells_outside_each_record_are_zero(self, crowd, tmp_path, monkeypatch):
+        summary, tables = _reached_cells_run(crowd, tmp_path, monkeypatch)
+        assert summary.red_person_frames > 0 and summary.yellow_pair_frames > 0
+        assert summary.dropped_stamps > 0
+        names = ["tracking_grid.txt", "violation_grid.txt"]
+        if crowd:
+            names += ["crowd_grid.txt", "longterm_crowd.txt"]
+        assert sorted(tables) == sorted(names)
+        for name, (values, cells) in tables.items():
+            assert np.array_equal(cells, np.unique(cells)), name
+            outside = np.ones(values.size, dtype=bool)
+            outside[cells] = False
+            assert not values.reshape(-1)[outside].view(np.uint64).any(), name
+            assert values.reshape(-1)[cells].any(), name
+        tracking, violation = tables["tracking_grid.txt"][1], tables["violation_grid.txt"][1]
+        assert tracking[-1] // 40 == 39  # the border person's row
+        assert np.isin(tracking, violation).all()
+        if crowd:
+            values, cells = tables["crowd_grid.txt"]
+            assert (values.reshape(-1)[cells] == 0).any()  # decayed to +0.0 over the gap
+
+    def test_analyze_makes_no_whole_grid_pass(self, config, monkeypatch, tmp_path):
+        assert config.crowd_map_enabled
+        ingest = parse_mot_detections(GOLDEN_DET)
+        run_pipeline(config, ingest, out_dir=str(tmp_path / "want"))
+        scans = []
+
+        def no_scan(*grids):
+            raise AssertionError("analyze scanned a whole grid for its live cells")
+
+        monkeypatch.setattr(rasters, "live_cells", no_scan)
+        out = str(tmp_path / "got")
+        run_pipeline(config, ingest, out_dir=out)
+        for name in sorted(os.listdir(out)):
+            assert read_bytes(os.path.join(out, name)) == read_bytes(
+                str(tmp_path / "want" / name)), name
+
+        def counted(*grids):
+            scans.append(len(grids))
+            return live_cells(*grids)
+
+        monkeypatch.setattr(rasters, "live_cells", counted)
+        written = pipeline.render_from_tables(out, str(tmp_path / "re"))
+        assert scans == [4]
+        for path in written:
+            assert read_bytes(path) == read_bytes(os.path.join(out, os.path.basename(path)))

@@ -12,6 +12,7 @@ from crowdrisk.rasters import (
     _bad_table,
     _zero_row,
     hue_to_rgb,
+    live_cells,
     read_value_table,
     write_heatmap_ppm,
     write_pgm16,
@@ -31,7 +32,7 @@ def read_ppm(path: str) -> tuple[bytes, np.ndarray]:
 class TestPGM:
     def test_zero_grid_all_zero_samples(self, tmp_path):
         path = str(tmp_path / "zero.pgm")
-        write_pgm16(path, np.zeros((4, 6)))
+        write_pgm16(path, np.zeros((4, 6)), live_cells(np.zeros((4, 6))))
         with open(path, "rb") as fh:
             data = fh.read()
         assert data.startswith(b"P5\n6 4\n65535\n")
@@ -43,7 +44,7 @@ class TestPGM:
         values[2, 2] = 2.0
         values[2, 1] = values[2, 3] = values[1, 2] = values[3, 2] = 1.0
         path = str(tmp_path / "stamp.pgm")
-        write_pgm16(path, values)
+        write_pgm16(path, values, live_cells(values))
         with open(path, "rb") as fh:
             body = fh.read().split(b"65535\n", 1)[1]
         samples = np.frombuffer(body, dtype=">u2").reshape(5, 5)
@@ -53,7 +54,7 @@ class TestPGM:
 
     def test_big_endian_sample_order(self, tmp_path):
         path = str(tmp_path / "be.pgm")
-        write_pgm16(path, np.array([[0.0, 1.0]]))
+        write_pgm16(path, np.array([[0.0, 1.0]]), np.array([1]))
         with open(path, "rb") as fh:
             body = fh.read().split(b"65535\n", 1)[1]
         assert body == b"\x00\x00\xff\xff"
@@ -64,7 +65,7 @@ class TestPPM:
         G = np.zeros((2, 3))
         G[0, 0] = 1.0
         path = str(tmp_path / "c.ppm")
-        write_heatmap_ppm(path, G, np.zeros((2, 3)))
+        write_heatmap_ppm(path, G, np.zeros((2, 3)), live_cells(G))
         header, pixels = read_ppm(path)
         assert header == b"P6\n3 2\n255\n"
         assert pixels[0, 0].tolist() == [255, 0, 0]
@@ -73,7 +74,8 @@ class TestPPM:
     def test_rejects_grids_not_2d(self, tmp_path):
         for shape in ((4,), (2, 2, 3), ()):
             with pytest.raises(ValueError):
-                write_heatmap_ppm(str(tmp_path / "x.ppm"), np.ones(shape), np.ones(shape))
+                write_heatmap_ppm(str(tmp_path / "x.ppm"), np.ones(shape), np.ones(shape),
+                                  np.arange(np.ones(shape).size))
 
 
 class TestHueConversion:
@@ -86,7 +88,7 @@ class TestHueConversion:
     def test_heatmap_extremes(self, tmp_path):
         # risk 0 and the peak: hue 120 and 0 on the halved scale
         path = str(tmp_path / "h.ppm")
-        write_heatmap_ppm(path, np.array([[5.0, 0.0]]), np.zeros((1, 2)))
+        write_heatmap_ppm(path, np.array([[5.0, 0.0]]), np.zeros((1, 2)), np.array([0]))
         _, pixels = read_ppm(path)
         assert pixels[0, 0].tolist() == [255, 0, 0]  # peak risk, zero hue: red
         assert pixels[0, 1].tolist() == [0, 0, 255]  # zero risk, 120 halved: blue
@@ -97,7 +99,7 @@ class TestHeatmap:
         G = np.array([[3.0, 0.0, 4.0]])
         S = np.array([[5.0, 0.0, 0.0]])
         path = str(tmp_path / "m.ppm")
-        write_heatmap_ppm(path, G, S)
+        write_heatmap_ppm(path, G, S, live_cells(G, S))
         _, pixels = read_ppm(path)
         # risk max(G, 2*S) is 10, 0, 4: hue 0, 120 and 72, which at twice
         # the degrees is sector 2 with fraction 0.4; max(G, S) would give 24
@@ -105,7 +107,7 @@ class TestHeatmap:
 
     def test_all_zero_renders_uniform_blue(self, tmp_path):
         path = str(tmp_path / "z.ppm")
-        write_heatmap_ppm(path, np.zeros((4, 4)), np.zeros((4, 4)))
+        write_heatmap_ppm(path, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros(0, dtype=np.intp))
         _, pixels = read_ppm(path)
         assert np.array_equal(pixels, np.broadcast_to([0, 0, 255], (4, 4, 3)))
 
@@ -116,14 +118,15 @@ class TestHeatmap:
             G = rng.random((6, 6)) * 10
             S = rng.random((6, 6)) * 10
             risk = np.maximum(G, 2 * S)
-            write_heatmap_ppm(path, G, S)
+            write_heatmap_ppm(path, G, S, live_cells(G, S))
             _, pixels = read_ppm(path)
             assert pixels[np.unravel_index(risk.argmax(), risk.shape)].tolist() == [255, 0, 0]
             assert pixels[np.unravel_index(risk.argmin(), risk.shape)].tolist() == [0, 0, 255]
 
     def test_dimension_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
-            write_heatmap_ppm(str(tmp_path / "d.ppm"), np.zeros((3, 3)), np.zeros((4, 4)))
+            write_heatmap_ppm(str(tmp_path / "d.ppm"), np.zeros((3, 3)), np.zeros((4, 4)),
+                              np.arange(9))
 
 
 def reference_write_value_table(path: str, values: np.ndarray) -> None:
@@ -189,6 +192,18 @@ def _oracle_grids():
 
 
 ORACLE_GRIDS = _oracle_grids()
+
+
+def with_every_cell(names: list[str]) -> list:
+    """(name, every_cell) params: each grid with its live cells as the writer's
+    candidates, then again with every cell (id `<name>-every-cell`)."""
+    return ([pytest.param(name, False, id=name) for name in names]
+            + [pytest.param(name, True, id=f"{name}-every-cell") for name in names])
+
+
+def candidates(every_cell: bool, *grids) -> np.ndarray:
+    """Every cell of the grids, or only the cells where one is not +0.0."""
+    return np.arange(np.size(grids[0])) if every_cell else live_cells(*grids)
 # the old writer merges 0.0 and -0.0, so it is a byte oracle only for the others
 WRITER_ORACLE_GRIDS = [name for name, grid in sorted(ORACLE_GRIDS.items())
                        if not np.any((grid == 0) & np.signbit(grid))]
@@ -199,13 +214,13 @@ class TestValueTable:
         rng = np.random.default_rng(21)
         values = rng.normal(size=(7, 5)) * 1e3
         path = str(tmp_path / "table.txt")
-        write_value_table(path, values)
+        write_value_table(path, values, live_cells(values))
         again = read_value_table(path)
         assert np.array_equal(again, values)
 
     def test_header_line(self, tmp_path):
         path = str(tmp_path / "t.txt")
-        write_value_table(path, np.zeros((2, 3)))
+        write_value_table(path, np.zeros((2, 3)), np.zeros(0, dtype=np.intp))
         with open(path) as fh:
             assert fh.readline() == "# 2 3\n"
 
@@ -216,12 +231,12 @@ class TestValueTable:
         with pytest.raises(ValueError):
             read_value_table(path)
 
-    @pytest.mark.parametrize("name", WRITER_ORACLE_GRIDS)
-    def test_bytes_match_reference_writer(self, name, tmp_path):
+    @pytest.mark.parametrize("name, every_cell", with_every_cell(WRITER_ORACLE_GRIDS))
+    def test_bytes_match_reference_writer(self, name, every_cell, tmp_path):
         values = ORACLE_GRIDS[name]
         want, got = str(tmp_path / "want.txt"), str(tmp_path / "got.txt")
         reference_write_value_table(want, values)
-        write_value_table(got, values)
+        write_value_table(got, values, candidates(every_cell, values))
         with open(want, "rb") as a, open(got, "rb") as b:
             assert a.read() == b.read()
 
@@ -229,7 +244,7 @@ class TestValueTable:
     def test_reader_matches_loadtxt(self, name, tmp_path):
         values = ORACLE_GRIDS[name]
         path = str(tmp_path / "t.txt")
-        write_value_table(path, values)
+        write_value_table(path, values, live_cells(values))
         got = read_value_table(path)
         if values.size:
             with open(path) as fh:
@@ -250,7 +265,7 @@ class TestValueTable:
     def test_signed_zero_round_trips(self, row, text, tmp_path):
         values = np.array([row])
         path = str(tmp_path / "z.txt")
-        write_value_table(path, values)
+        write_value_table(path, values, live_cells(values))
         with open(path) as fh:
             assert fh.read() == "# 1 2\n" + text
         again = read_value_table(path)
@@ -262,7 +277,7 @@ class TestValueTable:
         path = str(tmp_path / "big.txt")
         tracemalloc.start()
         try:
-            write_value_table(path, values)
+            write_value_table(path, values, live_cells(values))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -280,7 +295,7 @@ class TestValueTable:
         path = str(tmp_path / "gaps.txt")
         tracemalloc.start()
         try:
-            write_value_table(path, values)
+            write_value_table(path, values, live_cells(values))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -316,7 +331,7 @@ class TestHostileTables:
 
     def test_truncated_file_names_file_line(self, tmp_path):
         path = str(tmp_path / "full.txt")
-        write_value_table(path, np.arange(12.0).reshape(4, 3))
+        write_value_table(path, np.arange(12.0).reshape(4, 3), np.arange(12))
         with open(path) as fh:
             text = fh.read()
         message, hostile = self._error(tmp_path, text[:text.index("\n6 7 8")])
@@ -425,7 +440,7 @@ class TestWideTablesMatchReferenceReader:
     @pytest.mark.parametrize("name", [n for n in sorted(ORACLE_GRIDS) if n.startswith("wide-")])
     def test_oracle_grid_read_without_loadtxt(self, name, tmp_path, monkeypatch):
         path = str(tmp_path / "t.txt")
-        write_value_table(path, ORACLE_GRIDS[name])
+        write_value_table(path, ORACLE_GRIDS[name], live_cells(ORACLE_GRIDS[name]))
         want = reference_read_value_table(path)
 
         def no_loadtxt(*args):
@@ -640,19 +655,21 @@ def _outcome(write, path, *grids):
 
 
 class TestRasterOracles:
-    @pytest.mark.parametrize("name", sorted(RASTER_GRIDS))
-    def test_pgm_bytes_match_reference_writer(self, name, tmp_path):
+    @pytest.mark.parametrize("name, every_cell", with_every_cell(sorted(RASTER_GRIDS)))
+    def test_pgm_bytes_match_reference_writer(self, name, every_cell, tmp_path):
         values = RASTER_GRIDS[name]
         want = _outcome(reference_write_pgm16, str(tmp_path / "want.pgm"), values)
-        got = _outcome(write_pgm16, str(tmp_path / "got.pgm"), values)
+        got = _outcome(write_pgm16, str(tmp_path / "got.pgm"), values,
+                       candidates(every_cell, values))
         assert got == want
 
     @pytest.mark.parametrize("partner", sorted(PARTNERS))
-    @pytest.mark.parametrize("name", sorted(RASTER_GRIDS))
-    def test_heatmap_bytes_match_reference_writer(self, name, partner, tmp_path):
+    @pytest.mark.parametrize("name, every_cell", with_every_cell(sorted(RASTER_GRIDS)))
+    def test_heatmap_bytes_match_reference_writer(self, name, every_cell, partner, tmp_path):
         G, S = PARTNERS[partner](RASTER_GRIDS[name])
         want = _outcome(reference_write_heatmap_ppm, str(tmp_path / "want.ppm"), G, S)
-        got = _outcome(write_heatmap_ppm, str(tmp_path / "got.ppm"), G, S)
+        got = _outcome(write_heatmap_ppm, str(tmp_path / "got.ppm"), G, S,
+                       candidates(every_cell, G, S))
         assert got == want
 
     @pytest.mark.parametrize("G, S", [
@@ -665,8 +682,9 @@ class TestRasterOracles:
         want, got = str(tmp_path / "want"), str(tmp_path / "got")
         raised = _outcome(reference_write_heatmap_ppm, want, G, S)
         assert isinstance(raised, type)
-        assert _outcome(write_heatmap_ppm, got, G, S) is raised
-        assert _outcome(write_pgm16, got, G) == _outcome(reference_write_pgm16, want, G)
+        cells = np.arange(G.size)
+        assert _outcome(write_heatmap_ppm, got, G, S, cells) is raised
+        assert _outcome(write_pgm16, got, G, cells) == _outcome(reference_write_pgm16, want, G)
 
     @pytest.mark.parametrize("kind", ["pgm", "ppm"])
     def test_sparse_raster_memory_bounded(self, kind, tmp_path):
@@ -677,9 +695,9 @@ class TestRasterOracles:
         tracemalloc.start()
         try:
             if kind == "pgm":
-                write_pgm16(path, values)
+                write_pgm16(path, values, live_cells(values))
             else:
-                write_heatmap_ppm(path, values, zeros)
+                write_heatmap_ppm(path, values, zeros, live_cells(values, zeros))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

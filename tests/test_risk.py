@@ -20,6 +20,7 @@ from crowdrisk.risk import (
     accumulate_violations,
     advance_to,
     crowd_step,
+    _HEAP_CELLS,
     decay_sum,
     grid_zeros,
     normalize,
@@ -118,7 +119,7 @@ class TestAccumulateViolations:
         assert presence.values.sum() == 12
         assert vg.layer_r.values.sum() == 0
         assert vg.layer_y.values.sum() == 0
-        assert np.array_equal(vg.combined(presence.values), vg.beta * presence.values)
+        assert np.array_equal(vg.combined(presence)[0], vg.beta * presence.values)
 
     def test_red_person_with_unit_alpha(self):
         vg = ViolationGrid(16, 16, alpha=1.0, beta=0.0, delta=0.0)
@@ -126,7 +127,7 @@ class TestAccumulateViolations:
         presence = RiskGrid(16, 16)
         accumulate_tracking(presence, pos)
         accumulate_violations(vg, {0: ZoneLabel.HIGH_RISK}, pos)
-        combined = vg.combined(presence.values)
+        combined, _ = vg.combined(presence)
         expected = RiskGrid(16, 16)
         stamp_kernel(expected, (8, 8))
         assert np.array_equal(combined, expected.values)
@@ -145,21 +146,26 @@ class TestAccumulateViolations:
             stamp_kernel(tracked, c)
         stamp_kernel(yellow, (15, 15))
         expected = 1.0 * red.values + 0.1 * tracked.values + 0.5 * yellow.values
-        assert np.allclose(vg.combined(presence.values), expected, atol=1e-12)
+        assert np.allclose(vg.combined(presence)[0], expected, atol=1e-12)
 
     def test_combined_bits_match_full_grid_sum(self):
-        # layers live on different rows, presence alone on some, -0.0 on
-        # one; 2048 columns make blocks of a few rows, most of them skipped
+        # layers stamped on different rows, presence alone on some, border
+        # rows among them; their records hold several blocks of cells
         rng = np.random.default_rng(17)
         vg = ViolationGrid(2048, 40, alpha=1.0, beta=0.1, delta=0.5)
-        presence = np.zeros((40, 2048))
-        vg.layer_r.values[[3, 4, 20]] = rng.exponential(size=(3, 2048))
-        vg.layer_y.values[[4, 30]] = rng.exponential(size=(2, 2048))
-        presence[[0, 3, 12, 13, 39]] = rng.exponential(size=(5, 2048))
-        presence[25, 5] = -0.0
-        want = vg.alpha * vg.layer_r.values + vg.beta * presence + vg.delta * vg.layer_y.values
-        got = vg.combined(presence)
+        presence = RiskGrid(2048, 40)
+        for grid, rows in ((vg.layer_r, [3, 4, 20]), (vg.layer_y, [4, 30]),
+                           (presence, [0, 3, 12, 13, 39])):
+            for _ in range(3):
+                xs = rng.uniform(0, 2048, size=2000)
+                ys = rng.choice(rows, size=2000) + rng.uniform(0, 1, size=2000)
+                accumulate_tracking(grid, positions(list(zip(xs, ys))))
+        want = (vg.alpha * vg.layer_r.values + vg.beta * presence.values
+                + vg.delta * vg.layer_y.values)
+        got, cells = vg.combined(presence)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert len(cells) > 3 * _HEAP_CELLS
+        assert np.array_equal(cells, np.flatnonzero(want))
 
     @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
     def test_rejects_bad_coefficient(self, bad):
@@ -301,6 +307,71 @@ class TestStampOracle:
             assert np.array_equal(cg.values, ref.values)
             assert cg.grid.dropped == ref.dropped
         assert (ref.values % 1 != 0).any()
+
+
+def assert_zero_outside(values: np.ndarray, cells: np.ndarray) -> None:
+    """Every cell of values whose flat index is not in cells is +0.0."""
+    outside = np.ones(values.size, dtype=bool)
+    outside[cells] = False
+    assert not values.reshape(-1)[outside].view(np.uint64).any()
+
+
+class TestReachedRecord:
+    """Each grid records the cells its stamps reach; every other cell stays +0.0."""
+
+    WIDTH, HEIGHT, SCALE = 9, 7, 1.5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cells_outside_the_record_are_zero(self, seed):
+        # border cells (clipped kernels), off-grid people, red and yellow
+        # people, and frames with nobody
+        rng = np.random.default_rng(200 + seed)
+        grid = RiskGrid(self.WIDTH, self.HEIGHT, self.SCALE)
+        vg = ViolationGrid(self.WIDTH, self.HEIGHT, cell_scale=self.SCALE)
+        cg = CrowdGrid(self.WIDTH, self.HEIGHT, decay_gamma=0.5, cell_scale=self.SCALE)
+        lt = LongTermCrowd(self.WIDTH, self.HEIGHT)
+        zones = list(ZoneLabel)
+        for k in range(40):
+            pos = crowded_frame(rng, self.WIDTH, self.HEIGHT, self.SCALE, frame=1 + 100 * k)
+            if k % 3 == 2:
+                pos = positions([], frame=pos.frame)
+            labels = {tid: zones[int(rng.integers(0, 3))] for tid in pos.ids}
+            accumulate_tracking(grid, pos)
+            accumulate_violations(vg, labels, pos)
+            crowd_step(cg, pos)
+            lt.update(cg)
+        advance_to(cg, lt, 4000)
+        for g in (grid, vg.layer_r, vg.layer_y, cg.grid):
+            assert_zero_outside(g.values, g.reached())
+            assert np.array_equal(g.reached(), np.unique(g.reached()))
+        assert_zero_outside(lt.values, cg.grid.reached())
+        combined, cells = vg.combined(grid)
+        assert_zero_outside(combined, cells)
+        assert (cg.values.reshape(-1)[cg.grid.reached()] == 0).any()  # decayed to +0.0
+
+    def test_stamp_kernel_records_its_cells(self):
+        grid = RiskGrid(8, 8)
+        stamp_kernel(grid, (0, 0))
+        stamp_kernel(grid, (0, 0))
+        assert grid.reached().tolist() == [0, 1, 8]
+
+    def test_people_standing_still_keep_a_small_record(self):
+        # 2,000 frames of four people standing still: each grid records
+        # their 20 kernel cells once, not once a frame
+        grid, vg = RiskGrid(64, 64), ViolationGrid(64, 64)
+        cg, lt = CrowdGrid(64, 64), LongTermCrowd(64, 64)
+        points = [(10.5, 10.5), (30.5, 10.5), (10.5, 30.5), (30.5, 30.5)]
+        labels = {0: ZoneLabel.HIGH_RISK, 1: ZoneLabel.HIGH_RISK,
+                  2: ZoneLabel.POTENTIALLY_RISKY, 3: ZoneLabel.POTENTIALLY_RISKY}
+        for frame in range(1, 2001):
+            pos = positions(points, frame=frame)
+            accumulate_tracking(grid, pos)
+            accumulate_violations(vg, labels, pos)
+            crowd_step(cg, pos)
+            lt.update(cg)
+        for g, people in ((grid, 4), (vg.layer_r, 2), (vg.layer_y, 2), (cg.grid, 4)):
+            assert sum(map(len, g._parts)) == 5 * people <= 20
+            assert len(g.reached()) == 5 * people
 
 
 def random_frames(rng, n_frames: int, width: int, height: int, scale: float):
