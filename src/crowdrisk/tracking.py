@@ -2,14 +2,18 @@
 
 Each person carries a 7-component constant-velocity state
 [u, v, s, r, u', v', s'] — centroid, box area, aspect ratio, and their
-rates (aspect ratio is modelled as constant).  The tracker holds all live
-tracks as one structure of arrays (`TrackArrays`: means x (n, 7),
-covariances P (n, 7, 7), and id/hits/time-since-update/confidence/status
-vectors), so each frame runs one batched Kalman predict over every track
-and one batched update over the matched rows; `Tracker.tracks` copies those
-arrays out.  `kalman_predict` and `kalman_update` take and return plain
-(x, P) arrays of any leading batch shape, never writing to their inputs,
-and each row of a batched call is bit-identical to the single-state call.
+rates (aspect ratio is modelled as constant).  The model couples each
+coordinate only with its own rate, so the covariance stays block diagonal
+and P keeps its ten entries as (3, 4) blocks: the variances of (u, v, s, r),
+cov(u, u'), cov(v, v'), cov(s, s'), and the variances of (u', v', s'), the
+last two rows padded with 0 for r; `covariance(P)` expands P to 7x7.  The
+tracker holds all live tracks as one structure of arrays (`TrackArrays`:
+means x (n, 7), blocks P (n, 3, 4), ids, counters and flags), so each
+frame runs one elementwise Kalman predict over every track and one update
+over the matched rows; `Tracker.tracks` copies those arrays out.
+`kalman_predict` and `kalman_update` take and return plain (x, P) arrays
+of any leading batch shape, never writing to their inputs, and each row of
+a batched call is bit-identical to the single-state call.
 Predicted boxes are associated to detections as (n, 4) arrays by minimum
 1-IoU cost and gated; the matches come back as a (k, 2) array of (track
 row, detection row) pairs that index the track arrays and the detection
@@ -37,15 +41,6 @@ from .geometry import as_rows, foot_point, iou_matrix, project_to_bev
 STATE_DIM = 7
 MEAS_DIM = 4
 
-# Constant-velocity transition: u += u', v += v', s += s'.
-TRANSITION = np.eye(STATE_DIM)
-TRANSITION[0, 4] = TRANSITION[1, 5] = TRANSITION[2, 6] = 1.0
-
-# Observe (u, v, s, r).
-OBSERVATION = np.eye(MEAS_DIM, STATE_DIM)
-
-_EYE_STATE = np.eye(STATE_DIM)
-
 
 class SequencingError(ValueError):
     """Frames fed to a tracker out of order."""
@@ -64,21 +59,20 @@ class KalmanParams:
     init_state_var: float = 10.0
     init_velocity_var: float = 1e4
 
-    # The matrices are hot-path constants; build them once per parameter set.
+    # Hot-path constants, built once per parameter set: R (4,), Q and P0 as (3, 4) blocks.
     @functools.cached_property
-    def meas_noise_diag(self) -> np.ndarray:
+    def R(self) -> np.ndarray:
         return np.asarray(self.meas_noise, dtype=float)
 
     @functools.cached_property
-    def R(self) -> np.ndarray:
-        return np.diag(self.meas_noise_diag)
+    def Q(self) -> np.ndarray:
+        q = np.asarray(self.process_noise, dtype=float)
+        return np.array([q[:4], np.zeros(4), [*q[4:], 0.0]])
 
     @functools.cached_property
-    def Q(self) -> np.ndarray:
-        return np.diag(np.asarray(self.process_noise, dtype=float))
-
     def P0(self) -> np.ndarray:
-        return np.diag([self.init_state_var] * 4 + [self.init_velocity_var] * 3).astype(float)
+        pos, vel = self.init_state_var, self.init_velocity_var
+        return np.array([[pos] * 4, [0.0] * 4, [vel, vel, vel, 0.0]])
 
 
 DEFAULT_KALMAN = KalmanParams()
@@ -104,51 +98,56 @@ def degenerate(x: np.ndarray) -> np.ndarray:
     return (x[..., 2] <= 0.0) | (x[..., 3] <= 0.0)
 
 
-def _mT(a: np.ndarray) -> np.ndarray:
-    """Transpose of the last two axes."""
-    return np.swapaxes(a, -1, -2)
+def covariance(P: np.ndarray) -> np.ndarray:
+    """The full (..., 7, 7) covariance matrices of (..., 3, 4) covariance blocks."""
+    full = np.zeros(P.shape[:-2] + (STATE_DIM, STATE_DIM))
+    pos, vel = np.arange(MEAS_DIM), np.arange(MEAS_DIM, STATE_DIM)
+    full[..., pos, pos] = P[..., 0, :]
+    full[..., pos[:3], vel] = full[..., vel, pos[:3]] = P[..., 1, :3]
+    full[..., vel, vel] = P[..., 2, :3]
+    return full
 
 
 def kalman_predict(
     x: np.ndarray, P: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
 ) -> tuple[np.ndarray, np.ndarray]:
     """Constant-velocity propagation of (x, P); covariance grows by the process noise."""
-    x = (TRANSITION @ x[..., None])[..., 0]
-    P = TRANSITION @ P @ TRANSITION.T + params.Q
-    P = (P + _mT(P)) / 2.0
-    return x, P
+    x = x.copy()
+    x[..., :3] += x[..., 4:]
+    var, cov, vel = P[..., 0, :], P[..., 1, :], P[..., 2, :]
+    moved = cov + vel
+    return x, np.stack([var + cov + moved, moved, vel], axis=-2) + params.Q
 
 
 def kalman_update(
     x: np.ndarray, P: np.ndarray, meas: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standard Kalman correction of means x (..., 7) and covariances P (..., 7, 7).
+    """Standard Kalman correction of means x (..., 7) and covariance blocks P (..., 3, 4).
 
     `meas` is an array (..., 4) of (u, v, s, r) observations with the batch
     shape of `x` (see `measurements_from_boxes`).  The gain splits the correction between
-    prediction and observation in proportion to their covariances.
-    Joseph-form covariance update keeps P symmetric positive semidefinite.
+    prediction and observation in proportion to their covariances.  The Joseph
+    form (I - KH) P (I - KH)^T + K R K^T, written out per block, keeps P positive
+    semidefinite; its two roundings of the cross term are averaged, as (P + P^T) / 2 does.
     """
-    innovation = np.asarray(meas, dtype=float) - x[..., :MEAS_DIM]
-    # the observation matrix is a component selector, so H P H^T etc. are slices
-    S = P[..., :MEAS_DIM, :MEAS_DIM] + params.R
-    if not np.all(np.diagonal(S, axis1=-2, axis2=-1) > 0.0):
+    var, cov, vel = P[..., 0, :], P[..., 1, :], P[..., 2, :]
+    R = params.R
+    S = var + R  # the innovation covariance, diagonal, so S > 0 is its whole check
+    if not np.all(S > 0.0):
         raise NumericalUpdateError(
             "innovation covariance is not positive definite; check noise parameters"
         )
-    try:
-        K = _mT(np.linalg.solve(S, P[..., :MEAS_DIM, :]))
-    except np.linalg.LinAlgError:
-        raise NumericalUpdateError(
-            "innovation covariance is not positive definite; check noise parameters"
-        ) from None
-    # matmul, not einsum: einsum sums in another order and moves the last bit
-    x = x + (K @ innovation[..., None])[..., 0]
-    I_KH = np.broadcast_to(_EYE_STATE, P.shape).copy()
-    I_KH[..., :MEAS_DIM] -= K
-    P_post = I_KH @ P @ _mT(I_KH) + (K * params.meas_noise_diag) @ _mT(K)
-    P_post = (P_post + _mT(P_post)) / 2.0
-    return x, P_post
+    inv = 1.0 / S
+    k1, k2 = var * inv, cov * inv  # the gain's position and velocity rows
+    innovation = np.asarray(meas, dtype=float) - x[..., :MEAS_DIM]
+    x = x + np.concatenate([k1 * innovation, (k2 * innovation)[..., :3]], axis=-1)
+    keep = 1.0 - k1
+    kept, mixed = keep * var, -k2 * var + cov
+    return x, np.stack([
+        kept * keep + (k1 * R) * k1,
+        ((kept * -k2 + keep * cov) + (k1 * R) * k2 + (mixed * keep + (k2 * R) * k1)) / 2.0,
+        (mixed * -k2 + (-k2 * cov + vel)) + (k2 * R) * k2,
+    ], axis=-2)
 
 
 @dataclass
@@ -156,7 +155,7 @@ class TrackArrays:
     """All live tracks as a structure of arrays; row i is one track, in birth order."""
 
     x: np.ndarray  # (n, 7) state means
-    P: np.ndarray  # (n, 7, 7) state covariances
+    P: np.ndarray  # (n, 3, 4) state covariance blocks, laid out as the module says
     id: np.ndarray  # (n,) track ids, increasing
     hits: np.ndarray  # (n,) matched detections, the spawning one included
     time_since_update: np.ndarray  # (n,) frames since the last match
@@ -172,7 +171,7 @@ class TrackArrays:
         x[:, :MEAS_DIM] = measurements_from_boxes(boxes)
         return cls(
             x=x,
-            P=np.broadcast_to(params.P0(), (m, STATE_DIM, STATE_DIM)).copy(),
+            P=np.broadcast_to(params.P0, (m, 3, MEAS_DIM)).copy(),
             id=np.arange(first_id, first_id + m, dtype=np.int64),
             hits=np.ones(m, dtype=np.int64),
             time_since_update=np.zeros(m, dtype=np.int64),

@@ -46,7 +46,7 @@ from crowdrisk.geometry import (
 from crowdrisk.pipeline import run_pipeline
 from crowdrisk.rasters import read_value_table
 from crowdrisk.risk import CrowdGrid, RiskGrid, accumulate_tracking, crowd_step, normalize
-from crowdrisk.tracking import KalmanParams, Tracker, kalman_predict, kalman_update
+from crowdrisk.tracking import KalmanParams, Tracker, covariance, kalman_predict, kalman_update
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_DET = os.path.join(DATA_DIR, "synthetic_300.det")
@@ -191,9 +191,11 @@ def test_kalman_consistency():
     error = None
     for frame in range(1, 11):
         x, P = kalman_predict(x, P, params)
-        assert np.abs(P - P.T).max() < 1e-9
+        C = covariance(P)
+        assert np.abs(C - C.T).max() < 1e-9
         x, P = kalman_update(x, P, measure((2.0 * frame, 50.0, 10.0, 20.0)), params)
-        assert np.abs(P - P.T).max() < 1e-9
+        C = covariance(P)
+        assert np.abs(C - C.T).max() < 1e-9
         error = math.hypot(x[0] - 2.0 * frame, x[1] - 50.0)
     assert error is not None and error < 1e-6
 

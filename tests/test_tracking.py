@@ -26,6 +26,7 @@ from crowdrisk.tracking import (
     SequencingError,
     Tracker,
     associate,
+    covariance,
     degenerate,
     format_mot_line,
     kalman_predict,
@@ -42,9 +43,13 @@ def walker_box(frame: int, speed: float = 2.0, v: float = 50.0) -> tuple[float, 
     return (speed * frame, v, 10.0, 20.0)
 
 
+# Covariance blocks (3, 4) of the identity covariance: unit variances, no coupling.
+UNIT_BLOCKS = np.array([[1.0] * 4, [0.0] * 4, [1.0, 1.0, 1.0, 0.0]])
+
+
 class TestKalmanPredict:
     def test_constant_velocity_propagation(self):
-        x, _ = kalman_predict(np.array([0.0, 0.0, 4.0, 1.0, 1.0, 2.0, 0.0]), np.eye(7))
+        x, _ = kalman_predict(np.array([0.0, 0.0, 4.0, 1.0, 1.0, 2.0, 0.0]), UNIT_BLOCKS)
         assert x[:4].tolist() == [1.0, 2.0, 4.0, 1.0]
         assert x[4:].tolist() == [1.0, 2.0, 0.0]
 
@@ -52,10 +57,10 @@ class TestKalmanPredict:
         x, P = state_from_box((5, 5, 2, 2))
         x_out, P_out = kalman_predict(x, P)
         assert np.array_equal(x_out, x)
-        assert np.all(np.diag(P_out) >= np.diag(P))  # covariance grows by Q
+        assert np.all(np.diag(covariance(P_out)) >= np.diag(covariance(P)))  # grows by Q
 
     def test_degenerate_area_flagged(self):
-        x, _ = kalman_predict(np.array([0.0, 0.0, 4.0, 1.0, 0.0, 0.0, -5.0]), np.eye(7))
+        x, _ = kalman_predict(np.array([0.0, 0.0, 4.0, 1.0, 0.0, 0.0, -5.0]), UNIT_BLOCKS)
         assert x[2] == -1.0
         assert degenerate(x)
 
@@ -64,10 +69,12 @@ class TestKalmanPredict:
         x, P = state_from_box((0, 0, 3, 7))
         for k in range(30):
             x, P = kalman_predict(x, P)
-            assert np.abs(P - P.T).max() < 1e-9
+            C = covariance(P)
+            assert np.abs(C - C.T).max() < 1e-9
             if k % 3 == 0:
                 x, P = kalman_update(x, P, measure((*rng.uniform(1, 9, 2), 3, 7)))
-                assert np.abs(P - P.T).max() < 1e-9
+                C = covariance(P)
+                assert np.abs(C - C.T).max() < 1e-9
 
 
 class TestKalmanUpdate:
@@ -104,7 +111,8 @@ class TestKalmanUpdate:
             x, P = kalman_predict(x, P, NOISELESS)
             x, P = kalman_update(x, P, measure(walker_box(frame)), NOISELESS)
             errors.append(abs(x[0] - 2.0 * frame))
-            assert np.abs(P - P.T).max() < 1e-9
+            C = covariance(P)
+            assert np.abs(C - C.T).max() < 1e-9
         assert errors[9] < 1e-6
         for prev, cur in zip(errors[3:], errors[4:]):
             assert cur <= prev + 1e-12  # monotone once the state is observed
@@ -116,6 +124,11 @@ class TestKalmanUpdate:
             for frame in range(1, 6):
                 x, P = kalman_predict(x, P, params)
                 x, P = kalman_update(x, P, measure(walker_box(frame)), params)
+        # a NaN variance makes S NaN, which no S > 0 check lets through
+        x, P = state_from_box(walker_box(0))
+        P[0, 1] = np.nan
+        with pytest.raises(NumericalUpdateError):
+            kalman_update(x, P, measure(walker_box(0)))
 
 
 class TestAssociate:
@@ -329,7 +342,7 @@ class TestTrackerLifecycle:
         assert (t.hits.tolist(), t.time_since_update.tolist()) == ([2], [1])
         assert t.confirmed.tolist() == [True]
         assert t.conf.tolist() == [0.8]
-        assert t.x.shape == (1, 7) and t.P.shape == (1, 7, 7)
+        assert t.x.shape == (1, 7) and t.P.shape == (1, 3, 4)
         t.x[:] = 0.0  # a copy: the tracker's own arrays stay as they were
         assert tracker.tracks.x[0, 0] == 50.0
 
